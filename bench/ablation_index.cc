@@ -33,11 +33,10 @@ void RunVariant(const char* label, const RoadNetwork& graph,
   eopts.num_vehicles = 300;
   eopts.seed = 13;
   Engine engine(&graph, &index, eopts);
-  BaselineMatcher ba;
-  SsaMatcher ssa(0.16);
-  DsaMatcher dsa(0.16);
-  std::vector<Matcher*> matchers = {&ba, &ssa, &dsa};
-  const RunStats stats = engine.Run(requests, matchers);
+  const RunStats stats = engine.RunPipelined(
+      requests, [] { return std::make_unique<BaselineMatcher>(); }, nullptr,
+      {[] { return std::make_unique<SsaMatcher>(0.16); },
+       [] { return std::make_unique<DsaMatcher>(0.16); }});
   obs.Add(label, BuildRunReport(stats, engine.metrics(),
                                 std::string("bench ") + label));
   for (const MatcherAggregate& agg : stats.matchers) {

@@ -43,10 +43,15 @@ int main(int argc, char** argv) {
   std::printf("%-8s %12s %10s %12s %9s %8s\n", "variant", "time(ms)",
               "verified", "compdists", "options", "recall");
   for (const Variant& variant : variants) {
-    BaselineMatcher ba;  // commits; keeps world state identical per variant
-    SsaMatcher ssa(base.verified_grid_fraction, variant.config);
-    std::vector<Matcher*> matchers = {&ba, &ssa};
-    const BenchRow row = harness.RunWith(base, variant.label, matchers);
+    const double fraction = base.verified_grid_fraction;
+    const PruningConfig config = variant.config;
+    const BenchRow row = harness.RunWith(
+        base, variant.label,
+        // BA commits, which keeps world state identical per variant.
+        {[] { return std::make_unique<BaselineMatcher>(); },
+         [fraction, config] {
+           return std::make_unique<SsaMatcher>(fraction, config);
+         }});
     const MatcherAggregate& agg = row.stats.matchers[1];
     std::printf("%-8s %12.3f %10.1f %12.1f %9.2f %8.4f\n", variant.label,
                 agg.MeanMillis(), agg.MeanVerified(), agg.MeanCompdists(),

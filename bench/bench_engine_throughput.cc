@@ -1,12 +1,11 @@
-// Request-parallel engine throughput: the classic serial engine vs the
-// pipelined engine (DESIGN.md §12) at engine_threads in {1, 2, 4, 8} on a
-// 10k-vertex perturbed grid city with 1k vehicles, written to
-// BENCH_engine_throughput.json (same schema-versioned envelope as the
-// other bench emitters).
+// Request-parallel engine throughput: the wave pipeline (DESIGN.md §12) at
+// engine_threads in {1, 2, 4, 8} on a 10k-vertex perturbed grid city with
+// 1k vehicles, written to BENCH_engine_throughput.json (same
+// schema-versioned envelope as the other bench emitters).
 //
 // Per row: end-to-end requests/sec, commit-latency p50/p99 (admission to
 // commit, from the pipeline/request_latency_us histogram), conflict rate,
-// and re-match counts. Every pipelined row runs with the SAME pinned
+// and re-match counts. Every row runs with the SAME pinned
 // wave_size, so the determinism contract applies: committed assignments
 // are verified identical across all thread counts before any number is
 // reported — a row that diverges from the engine_threads=1 replay fails
@@ -51,7 +50,7 @@ constexpr int kBarThreads = 8;
 
 struct Row {
   std::string label;
-  int engine_threads = 0;  ///< 0 = classic serial Run().
+  int engine_threads = 0;
   double elapsed_ms = 0.0;
   double requests_per_sec = 0.0;
   std::uint64_t served = 0;
@@ -72,29 +71,6 @@ EngineOptions BaseOptions() {
   eopts.seed = 13;
   eopts.audit_after_commit = false;  // Measure dispatch, not the auditor.
   return eopts;
-}
-
-Row RunClassic(const RoadNetwork& graph, const GridIndex& grid,
-               const std::vector<Request>& requests,
-               bench::ObsSession* obs) {
-  Row row;
-  row.label = "classic-serial";
-  Engine engine(&graph, &grid, BaseOptions());
-  if (obs->lifecycle() != nullptr) {
-    engine.SetLifecycleRecorder(obs->lifecycle());
-  }
-  SsaMatcher ssa(kSsaFraction);
-  std::vector<Matcher*> matchers = {&ssa};
-  Timer timer;
-  const RunStats stats = engine.Run(requests, matchers);
-  row.elapsed_ms = timer.ElapsedMillis();
-  row.requests_per_sec = requests.size() / (row.elapsed_ms / 1e3);
-  row.served = stats.served;
-  row.unserved = stats.unserved;
-  obs->Add(row.label, BuildRunReport(stats, engine.metrics(),
-                                     engine.telemetry().Export(),
-                                     "bench_engine_throughput"));
-  return row;
 }
 
 Row RunPipelined(const RoadNetwork& graph, const GridIndex& grid,
@@ -178,7 +154,7 @@ bool WriteJson(const std::string& path, const std::vector<Row>& rows,
 }
 
 int Main(int argc, char** argv) {
-  std::printf("=== bench_engine_throughput: serial vs request-parallel ===\n");
+  std::printf("=== bench_engine_throughput: request-parallel waves ===\n");
   bench::ObsSession obs(argc, argv, "engine_throughput");
   const unsigned host_cpus = std::thread::hardware_concurrency();
 
@@ -213,7 +189,6 @@ int Main(int argc, char** argv) {
               "speedup");
 
   std::vector<Row> rows;
-  rows.push_back(RunClassic(graph, grid, requests, &obs));
   std::vector<CommitRecord> reference_log;
   double serial_rps = 0.0;
   for (const int threads : {1, 2, 4, 8}) {
@@ -234,8 +209,6 @@ int Main(int argc, char** argv) {
     row.speedup_vs_serial = row.requests_per_sec / serial_rps;
     rows.push_back(row);
   }
-  rows.front().speedup_vs_serial =
-      rows.front().requests_per_sec / serial_rps;
 
   for (const Row& r : rows) {
     std::printf("%-16s %7.0fms %10.1f %9llu %9llu %9llu %11.0f %11.0f "

@@ -1,5 +1,5 @@
 // End-to-end matching cost tracker. Runs the standard BA / SSA / DSA trio on
-// the base configuration — serially, with a 4-thread pool, and on the CH
+// the base configuration — on one and on four matcher workers, and on the CH
 // distance backend — and writes the results to BENCH_matching.json so
 // successive revisions of the hot path can be compared by tooling. The
 // threads=1/threads=4 rows also double as a quick determinism smoke check:

@@ -56,15 +56,21 @@ int main(int argc, char** argv) {
     cfg.num_vehicles = scale.num_vehicles;
     cfg.num_requests = scale.num_requests;
 
-    BaselineMatcher ba;  // commits; the precision/recall reference
-    SsaMatcher ssa_full(1.0);
-    PrunedMatcher ssa_full_el(std::make_unique<SsaMatcher>(1.0));
-    SsaMatcher ssa_part(base.verified_grid_fraction);
-    PrunedMatcher ssa_part_el(
-        std::make_unique<SsaMatcher>(base.verified_grid_fraction));
-    EllipseMatcher ellipse;
-    std::vector<Matcher*> matchers = {&ba,       &ssa_full, &ssa_full_el,
-                                      &ssa_part, &ssa_part_el, &ellipse};
+    const double fraction = base.verified_grid_fraction;
+    const std::vector<MatcherFactory> matchers = {
+        // BA commits and is the precision/recall reference.
+        [] { return std::make_unique<BaselineMatcher>(); },
+        [] { return std::make_unique<SsaMatcher>(1.0); },
+        [] {
+          return std::make_unique<PrunedMatcher>(
+              std::make_unique<SsaMatcher>(1.0));
+        },
+        [fraction] { return std::make_unique<SsaMatcher>(fraction); },
+        [fraction] {
+          return std::make_unique<PrunedMatcher>(
+              std::make_unique<SsaMatcher>(fraction));
+        },
+        [] { return std::make_unique<EllipseMatcher>(); }};
 
     const std::string label = "vehicles=" + std::to_string(scale.num_vehicles);
     rows.push_back(harness.RunWith(cfg, label, matchers));

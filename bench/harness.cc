@@ -155,15 +155,16 @@ const GridIndex& Harness::GridFor(double cell_size) {
 }
 
 BenchRow Harness::Run(const BenchConfig& cfg, const std::string& label) {
-  BaselineMatcher ba;
-  SsaMatcher ssa(cfg.verified_grid_fraction);
-  DsaMatcher dsa(cfg.verified_grid_fraction);
-  std::vector<Matcher*> matchers = {&ba, &ssa, &dsa};
-  return RunWith(cfg, label, matchers);
+  const double fraction = cfg.verified_grid_fraction;
+  return RunWith(
+      cfg, label,
+      {[] { return std::make_unique<BaselineMatcher>(); },
+       [fraction] { return std::make_unique<SsaMatcher>(fraction); },
+       [fraction] { return std::make_unique<DsaMatcher>(fraction); }});
 }
 
 BenchRow Harness::RunWith(const BenchConfig& cfg, const std::string& label,
-                          std::span<ptar::Matcher* const> matchers) {
+                          const std::vector<MatcherFactory>& matchers) {
   PTAR_CHECK(cfg.city_rows == base_.city_rows &&
              cfg.city_cols == base_.city_cols &&
              cfg.city_seed == base_.city_seed)
@@ -185,7 +186,8 @@ BenchRow Harness::RunWith(const BenchConfig& cfg, const std::string& label,
   eopts.num_vehicles = cfg.num_vehicles;
   eopts.vehicle_capacity = cfg.vehicle_capacity;
   eopts.seed = cfg.engine_seed;
-  eopts.threads = cfg.threads;
+  eopts.engine_threads = cfg.threads;
+  eopts.wave_size = 1;
   eopts.distance_backend = cfg.distance_backend;
   Engine engine(&graph_, &grid, eopts);
   if (obs_ != nullptr && obs_->lifecycle() != nullptr) {
@@ -194,7 +196,9 @@ BenchRow Harness::RunWith(const BenchConfig& cfg, const std::string& label,
 
   BenchRow row;
   row.label = label;
-  row.stats = engine.Run(*requests, matchers);
+  row.stats = engine.RunPipelined(
+      *requests, matchers.front(), nullptr,
+      std::vector<MatcherFactory>(matchers.begin() + 1, matchers.end()));
   row.grid_memory_bytes = grid.MemoryBytes();
   row.tree_memory_bytes = engine.KineticTreeMemoryBytes();
   if (obs_ != nullptr) {

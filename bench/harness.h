@@ -48,7 +48,9 @@ struct BenchConfig {
   double verified_grid_fraction = 0.16;
   std::uint64_t workload_seed = 7;
   std::uint64_t engine_seed = 13;
-  /// Worker threads for shadow-matcher evaluation (EngineOptions::threads).
+  /// Matcher workers (EngineOptions::engine_threads). The harness pins
+  /// one-request waves, so the thread count never changes the results:
+  /// it only spreads one request's matcher slots over workers.
   int threads = 1;
   /// Oracle backend (EngineOptions::distance_backend); kCH pays a one-time
   /// preprocessing cost per engine and then answers each sweep with bucket
@@ -127,10 +129,10 @@ class Harness {
   /// shape must match.
   BenchRow Run(const BenchConfig& cfg, const std::string& label);
 
-  /// Same, with a caller-supplied matcher list (the first matcher commits
-  /// and is the precision/recall reference). Used by the ablation bench.
+  /// Same, with caller-supplied matcher slots (the first commits and is
+  /// the precision/recall reference). Used by the ablation benches.
   BenchRow RunWith(const BenchConfig& cfg, const std::string& label,
-                   std::span<ptar::Matcher* const> matchers);
+                   const std::vector<MatcherFactory>& matchers);
 
   const RoadNetwork& graph() const { return graph_; }
 

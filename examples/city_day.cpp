@@ -52,14 +52,13 @@ int main(int argc, char** argv) {
   eopts.seed = 3;
   Engine engine(&*graph, &*grid, eopts);
 
-  BaselineMatcher ba;
-  SsaMatcher ssa(0.16);
-  DsaMatcher dsa(0.16);
-  std::vector<Matcher*> matchers = {&ba, &ssa, &dsa};
-
   std::printf("replaying %zu requests over %d vehicles...\n\n",
               requests->size(), num_vehicles);
-  const RunStats stats = engine.Run(*requests, matchers);
+  // BA commits; SSA and DSA are shadow slots measured against it.
+  const RunStats stats = engine.RunPipelined(
+      *requests, [] { return std::make_unique<BaselineMatcher>(); }, nullptr,
+      {[] { return std::make_unique<SsaMatcher>(0.16); },
+       [] { return std::make_unique<DsaMatcher>(0.16); }});
 
   std::printf("%-5s %10s %10s %10s %10s %12s %9s %10s %8s\n", "algo",
               "mean(ms)", "p50(ms)", "p95(ms)", "verified", "compdists",

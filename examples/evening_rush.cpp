@@ -67,9 +67,8 @@ int main() {
     background.push_back(r);
   }
 
-  BaselineMatcher exact;
-  std::vector<Matcher*> matchers = {&exact};
-  engine.Run(background, matchers);
+  engine.RunPipelined(background,
+                      [] { return std::make_unique<BaselineMatcher>(); });
 
   // Now the couple at the seaside: outer ring vertex on spoke 0, heading to
   // a vertex two rings from the hub on the opposite side.
@@ -85,6 +84,8 @@ int main() {
   couple.epsilon = 0.8;
   couple.submit_time = engine.now();
 
+  BaselineMatcher exact;
+  std::vector<Matcher*> matchers = {&exact};
   const auto outcome = engine.ProcessRequest(couple, matchers);
   const auto& options = outcome.results[0].options;
 

@@ -92,15 +92,6 @@ StatusOr<bool> FlagParser::GetBool(const std::string& name,
                                  value + "'");
 }
 
-StatusOr<int> GetThreadsFlag(const FlagParser& flags, int default_value) {
-  auto threads = flags.GetInt("threads", default_value);
-  if (!threads.ok()) return threads.status();
-  if (*threads < 1) {
-    return Status::InvalidArgument("--threads must be >= 1");
-  }
-  return static_cast<int>(*threads);
-}
-
 std::vector<std::string> FlagParser::UnusedFlags() const {
   std::vector<std::string> unused;
   for (const auto& [name, state] : flags_) {

@@ -51,11 +51,6 @@ class FlagParser {
   std::vector<std::string> positional_;
 };
 
-/// Reads the standard `--threads` flag: worker threads for evaluating the
-/// shadow matchers of one request concurrently (1 = serial, the default).
-/// Rejects values < 1.
-StatusOr<int> GetThreadsFlag(const FlagParser& flags, int default_value = 1);
-
 }  // namespace ptar
 
 #endif  // PTAR_COMMON_FLAGS_H_

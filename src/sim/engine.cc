@@ -1,12 +1,10 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/timer.h"
 #include "graph/ch_preprocessor.h"
-#include "obs/trace.h"
 
 namespace ptar {
 
@@ -14,19 +12,6 @@ namespace {
 
 constexpr double kTimeEps = 1e-9;
 constexpr Distance kDistEps = 1e-9;
-
-/// Option-set overlap with a small numeric tolerance (used for Table III's
-/// precision / recall against the exact result set).
-bool ContainsOption(std::span<const Option> set, const Option& o) {
-  for (const Option& x : set) {
-    if (x.vehicle == o.vehicle &&
-        std::abs(x.pickup_dist - o.pickup_dist) < 1e-6 &&
-        std::abs(x.price - o.price) < 1e-6) {
-      return true;
-    }
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -63,7 +48,6 @@ Engine::Engine(const RoadNetwork* graph, const GridIndex* grid,
       rng_(options.seed),
       registry_(grid),
       ch_graph_(MaybeBuildCH(graph, options, &ch_preprocess_micros_)),
-      match_oracle_(graph, ch_graph_.get()),
       maintenance_oracle_(graph, ch_graph_.get()),
       overload_(options.overload),
       telemetry_(options.telemetry) {
@@ -77,7 +61,6 @@ Engine::Engine(const RoadNetwork* graph, const GridIndex* grid,
   }
   PTAR_CHECK(options_.num_vehicles >= 1);
   PTAR_CHECK(options.vehicle_capacity >= 1);
-  PTAR_CHECK(options.threads >= 1);
   PTAR_CHECK(options.engine_threads >= 1);
   PTAR_CHECK(options.wave_size >= 0);
   PTAR_CHECK(options.max_rematch_rounds >= 0);
@@ -94,24 +77,11 @@ Engine::Engine(const RoadNetwork* graph, const GridIndex* grid,
         "prune/alpha_ppm",
         static_cast<std::uint64_t>(prune_filter_->alpha() * 1e6));
   }
-  phase_advance_us_ = &metrics_.Histogram("engine/advance_us");
-  phase_refresh_us_ = &metrics_.Histogram("engine/refresh_us");
-  phase_match_us_ = &metrics_.Histogram("engine/match_us");
-  phase_commit_us_ = &metrics_.Histogram("engine/commit_us");
   // Only registered when a deadline exists, so default runs keep their
   // metric name set unchanged.
   deadline_slack_us_ = options.overload.deadline_ms > 0.0
                            ? &metrics_.Histogram("engine/deadline_slack_us")
                            : nullptr;
-  if (options.threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options.threads);
-    // Queue-wait intervals land on the worker's own trace track; the
-    // recorder drops them (one branch) when tracing is off.
-    pool_->SetTaskWaitObserver([](double wait_micros) {
-      obs::TraceRecorder::Global().RecordEndingNow("pool_queue_wait",
-                                                   wait_micros);
-    });
-  }
   fleet_.reserve(options_.num_vehicles);
   runtimes_.resize(options_.num_vehicles);
   for (int i = 0; i < options_.num_vehicles; ++i) {
@@ -125,54 +95,6 @@ Engine::Engine(const RoadNetwork* graph, const GridIndex* grid,
     registry_.AddEmptyVehicle(static_cast<VehicleId>(i), start);
     registered_empty_.push_back(true);
   }
-}
-
-MatchContext Engine::MakeMatchContext() {
-  MatchContext ctx;
-  ctx.grid = grid_;
-  ctx.registry = &registry_;
-  ctx.fleet = &fleet_;
-  ctx.oracle = &match_oracle_;
-  ctx.price_model = PriceModel{};
-  ctx.prune = prune_filter_.get();
-  return ctx;
-}
-
-MatchContext Engine::MakeMatchContextFor(std::size_t m) {
-  MatchContext ctx = MakeMatchContext();
-  if (m > 0) {
-    PTAR_DCHECK(m - 1 < matcher_oracles_.size());
-    ctx.oracle = matcher_oracles_[m - 1].get();
-  }
-  return ctx;
-}
-
-void Engine::EnsureMatcherOracles(std::size_t num_matchers) {
-  while (matcher_oracles_.size() + 1 < num_matchers) {
-    matcher_oracles_.push_back(
-        std::make_unique<DistanceOracle>(graph_, ch_graph_.get()));
-    if (fault_hook_factory_) {
-      // matcher_oracles_[i] serves slot i + 1.
-      matcher_oracles_.back()->SetFaultHook(
-          fault_hook_factory_(matcher_oracles_.size()));
-    }
-  }
-}
-
-void Engine::EnsureSlotBudgets(std::size_t num_matchers) {
-  if (!overload_.enabled()) return;
-  while (slot_budgets_.size() < num_matchers) {
-    slot_budgets_.push_back(std::make_unique<WorkBudget>());
-  }
-}
-
-WorkBudget* Engine::ArmSlotBudget(std::size_t m) {
-  if (!overload_.enabled()) return nullptr;
-  PTAR_DCHECK(m < slot_budgets_.size());
-  WorkBudget* budget = slot_budgets_[m].get();
-  *budget = WorkBudget(overload_.LevelBudget(), overload_.DeadlineMicros());
-  budget->Arm();
-  return budget;
 }
 
 void Engine::ObserveOverload(double match_elapsed_micros,
@@ -206,23 +128,10 @@ obs::MetricsRegistry* Engine::TelemetryWindowFor(double t) {
   return telemetry_.At(t);
 }
 
-void Engine::SetFaultHookFactory(
-    std::function<DistanceOracle::FaultHook(std::size_t)> factory) {
-  fault_hook_factory_ = std::move(factory);
-  match_oracle_.SetFaultHook(fault_hook_factory_
-                                 ? fault_hook_factory_(0)
-                                 : DistanceOracle::FaultHook{});
-  for (std::size_t i = 0; i < matcher_oracles_.size(); ++i) {
-    matcher_oracles_[i]->SetFaultHook(fault_hook_factory_
-                                          ? fault_hook_factory_(i + 1)
-                                          : DistanceOracle::FaultHook{});
-  }
-}
-
 AuditReport Engine::AuditFleet() {
-  // Quiesce the pipeline: waits for the in-flight wave (if any) to finish
-  // its commit pass, so the audit never sees a torn tree or a half-applied
-  // commit. Uncontended when RunPipelined is not active.
+  // Quiesce: waits for the in-flight wave (if any) to finish its commit
+  // pass, so the audit never sees a torn tree or a half-applied commit.
+  // Uncontended when no wave is running.
   std::lock_guard<std::mutex> quiesced(quiesce_mu_);
   // Clean aggregates first so the audit covers every cell (the auditor
   // legitimately skips dirty ones).
@@ -479,325 +388,7 @@ void Engine::CommitChoice(const Request& request, const Option& option) {
     registry_.RemoveEmptyVehicle(v);
     registered_empty_[v] = false;
   }
-  ++served_;
   SyncAfterTreeChange(v);
-}
-
-Engine::RequestOutcome Engine::ProcessRequest(
-    const Request& request, std::span<Matcher* const> matchers) {
-  PTAR_CHECK(!matchers.empty());
-  PTAR_TRACE_SPAN("request");
-  {
-    PTAR_TRACE_SPAN("advance");
-    Timer timer;
-    AdvanceTo(request.submit_time);
-    phase_advance_us_->Add(timer.ElapsedMicros());
-  }
-  {
-    PTAR_TRACE_SPAN("refresh");
-    Timer timer;
-    RefreshStaleTrees();
-    phase_refresh_us_->Add(timer.ElapsedMicros());
-  }
-
-  RequestOutcome outcome;
-  outcome.results.resize(matchers.size());
-  outcome.evaluated.assign(matchers.size(), 0);
-  const DegradeLevel level = overload_.level();
-  outcome.degrade_level = level;
-  if (overload_.enabled()) {
-    metrics_.AddCounter("degrade/level" +
-                            std::to_string(static_cast<int>(level)) +
-                            "_requests",
-                        1);
-  }
-
-  if (level == DegradeLevel::kShed) {
-    outcome.shed = true;
-    outcome.status = Status::ResourceExhausted(
-        "overload ladder at shed level: request refused unmatched");
-    metrics_.AddCounter("degrade/shed_requests", 1);
-    // Shedding is (nearly) free, so it counts as a good signal: after
-    // recover_after consecutive sheds the ladder steps back to matching.
-    ObserveOverload(0.0, /*budget_exhausted=*/false);
-    if (obs::MetricsRegistry* w = TelemetryWindowFor(request.submit_time)) {
-      w->AddCounter(obs::kWindowRequests);
-      w->AddCounter(obs::kWindowShed);
-      w->AddCounter(obs::kWindowLadderLevels[static_cast<int>(level)]);
-    }
-    if (lifecycle_ != nullptr && lifecycle_->enabled()) {
-      obs::LifecycleEvent event;
-      event.request = request.id;
-      event.submit_time = request.submit_time;
-      event.level = DegradeLevelName(level);
-      event.disposition = "shed";
-      lifecycle_->Record(event);
-    }
-    return outcome;
-  }
-
-  EnsureMatcherOracles(matchers.size());
-  EnsureSlotBudgets(matchers.size());
-  // The epoch of the world state this request matches against (trees are
-  // refreshed; commits below bump it) — the lifecycle log's correlation
-  // key with registry snapshots.
-  const std::uint64_t snapshot_epoch = registry_.GlobalEpoch();
-  // Per-slot span names carry the matcher name; interning is only paid
-  // while tracing is enabled (the spans would drop the name otherwise).
-  const bool tracing = obs::TraceRecorder::Global().enabled();
-  Timer match_timer;
-  if (level != DegradeLevel::kFull) {
-    // Degraded: only slot 0 runs, through an engine-owned cheaper matcher;
-    // shadow matchers are skipped entirely to shed their load too.
-    Matcher* fallback = level == DegradeLevel::kSsa
-                            ? static_cast<Matcher*>(&fallback_ssa_)
-                            : &fallback_grid_;
-    obs::TraceSpan span(
-        tracing ? obs::InternSpanName("match_" + fallback->name())
-                : "match");
-    span.AddArg("slot", static_cast<std::int64_t>(0));
-    MatchContext ctx = MakeMatchContextFor(0);
-    ctx.budget = ArmSlotBudget(0);
-    outcome.results[0] = fallback->Match(request, ctx);
-    outcome.evaluated[0] = 1;
-  } else if (pool_ != nullptr && matchers.size() > 1) {
-    PTAR_TRACE_SPAN("shadow_match");
-    // Matchers only read the shared world state (trees were refreshed
-    // above, so Refresh() is a no-op), but the registry's cell aggregates
-    // rebuild lazily through mutable members — make them clean so
-    // Aggregates() is a pure read during the concurrent phase.
-    registry_.RebuildDirtyAggregates();
-    std::vector<std::future<void>> pending;
-    pending.reserve(matchers.size());
-    for (std::size_t m = 0; m < matchers.size(); ++m) {
-      const char* span_name =
-          tracing ? obs::InternSpanName("match_" + matchers[m]->name())
-                  : "match";
-      outcome.evaluated[m] = 1;
-      pending.push_back(pool_->Submit([this, m, span_name, &request,
-                                       &outcome, matchers] {
-        obs::TraceSpan span(span_name);
-        span.AddArg("slot", static_cast<std::int64_t>(m));
-        MatchContext ctx = MakeMatchContextFor(m);
-        // Armed inside the task so a wall-clock deadline starts when the
-        // matcher does, not while it waits in the pool queue. Each slot
-        // touches only its own budget, so this stays race-free.
-        ctx.budget = ArmSlotBudget(m);
-        outcome.results[m] = matchers[m]->Match(request, ctx);
-      }));
-    }
-    for (std::future<void>& f : pending) f.get();
-  } else {
-    for (std::size_t m = 0; m < matchers.size(); ++m) {
-      obs::TraceSpan span(
-          tracing ? obs::InternSpanName("match_" + matchers[m]->name())
-                  : "match");
-      span.AddArg("slot", static_cast<std::int64_t>(m));
-      MatchContext ctx = MakeMatchContextFor(m);
-      ctx.budget = ArmSlotBudget(m);
-      outcome.results[m] = matchers[m]->Match(request, ctx);
-      outcome.evaluated[m] = 1;
-    }
-  }
-  const double match_elapsed = match_timer.ElapsedMicros();
-  phase_match_us_->Add(match_elapsed);
-
-  const bool slot0_exhausted =
-      overload_.enabled() && slot_budgets_[0]->Exhausted();
-  const bool slot0_deadline_hit =
-      overload_.enabled() && slot_budgets_[0]->deadline_hit();
-  ObserveOverload(match_elapsed, slot0_exhausted, slot0_deadline_hit);
-  if (!outcome.results[0].complete) {
-    metrics_.AddCounter("degrade/partial_skylines", 1);
-  }
-
-  {
-    PTAR_TRACE_SPAN("commit");
-    Timer timer;
-    const Option* chosen = ChooseOption(outcome.results[0].options);
-    if (chosen != nullptr) {
-      outcome.served = true;
-      outcome.chosen = *chosen;
-      CommitChoice(request, *chosen);
-    }
-    phase_commit_us_->Add(timer.ElapsedMicros());
-  }
-  if (outcome.served && options_.audit_after_commit) {
-    AuditAfterCommit(outcome.chosen.vehicle);
-  }
-
-  if (obs::MetricsRegistry* w = TelemetryWindowFor(request.submit_time)) {
-    w->AddCounter(obs::kWindowRequests);
-    w->AddCounter(outcome.served ? obs::kWindowServed
-                                 : obs::kWindowUnserved);
-    if (!outcome.results[0].complete) w->AddCounter(obs::kWindowPartial);
-    w->AddCounter(obs::kWindowLadderLevels[static_cast<int>(level)]);
-    w->Histogram(obs::kWindowCommitLatencyUs).Add(match_elapsed);
-  }
-  if (lifecycle_ != nullptr && lifecycle_->enabled() &&
-      lifecycle_->Sampled(request.id)) {
-    obs::LifecycleEvent event;
-    event.request = request.id;
-    event.submit_time = request.submit_time;
-    event.snapshot_epoch = snapshot_epoch;
-    event.level = DegradeLevelName(level);
-    event.matcher = level == DegradeLevel::kFull
-                        ? matchers[0]->name()
-                        : (level == DegradeLevel::kSsa
-                               ? fallback_ssa_.name()
-                               : fallback_grid_.name());
-    if (overload_.enabled()) {
-      event.budget_limit = slot_budgets_[0]->max_units();
-      event.budget_spent = slot_budgets_[0]->used();
-      event.budget_exhausted = slot0_exhausted;
-    }
-    event.partial = !outcome.results[0].complete;
-    event.options = outcome.results[0].options.size();
-    event.disposition = outcome.served ? "served" : "unserved";
-    if (outcome.served) {
-      event.vehicle = outcome.chosen.vehicle;
-      event.pickup_dist = outcome.chosen.pickup_dist;
-      event.price = outcome.chosen.price;
-    }
-    event.match_us = match_elapsed;
-    if (overload_.DeadlineMicros() > 0.0) {
-      event.deadline_slack_us =
-          std::max(0.0, overload_.DeadlineMicros() - match_elapsed);
-    }
-    lifecycle_->Record(event);
-  }
-  return outcome;
-}
-
-RunStats Engine::Run(std::span<const Request> requests,
-                     std::span<Matcher* const> matchers) {
-  RunStats stats;
-  stats.matchers.resize(matchers.size());
-  for (std::size_t m = 0; m < matchers.size(); ++m) {
-    stats.matchers[m].name = matchers[m]->name();
-  }
-
-  // Per-request distributions, one set per matcher. Resolved once before
-  // the request loop (map values are address-stable). The latency one is
-  // timing-suffixed; compdists/options are deterministic and feed the
-  // threads=1 vs threads=N equality check in obs_trace_test.
-  struct PerMatcherHist {
-    obs::LatencyHistogram* latency_us;
-    obs::LatencyHistogram* compdists;
-    obs::LatencyHistogram* options;
-  };
-  std::vector<PerMatcherHist> hists;
-  hists.reserve(matchers.size());
-  for (std::size_t m = 0; m < matchers.size(); ++m) {
-    const std::string base = "matcher/" + matchers[m]->name();
-    hists.push_back({&metrics_.Histogram(base + "/latency_us"),
-                     &metrics_.Histogram(base + "/compdists"),
-                     &metrics_.Histogram(base + "/options")});
-  }
-
-  for (const Request& request : requests) {
-    const RequestOutcome outcome = ProcessRequest(request, matchers);
-    stats.ladder_requests[static_cast<int>(outcome.degrade_level)] += 1;
-    if (outcome.shed) ++stats.shed_requests;
-    if (outcome.evaluated[0] && !outcome.results[0].complete) {
-      ++stats.partial_skylines;
-    }
-    const std::span<const Option> exact(outcome.results[0].options);
-    for (std::size_t m = 0; m < matchers.size(); ++m) {
-      // Per-matcher aggregates describe the *configured* matchers; at
-      // degraded levels slot 0 ran an engine-owned fallback instead (and
-      // shadow slots ran nothing), so those requests are excluded.
-      if (outcome.degrade_level != DegradeLevel::kFull ||
-          !outcome.evaluated[m]) {
-        continue;
-      }
-      MatcherAggregate& agg = stats.matchers[m];
-      agg.totals.Accumulate(outcome.results[m].stats);
-      agg.latency_ms.Add(outcome.results[m].stats.elapsed_micros / 1e3);
-      ++agg.requests;
-      agg.options_sum += outcome.results[m].options.size();
-      hists[m].latency_us->Add(outcome.results[m].stats.elapsed_micros);
-      hists[m].compdists->Add(
-          static_cast<double>(outcome.results[m].stats.compdists));
-      hists[m].options->Add(
-          static_cast<double>(outcome.results[m].options.size()));
-      // Precision / recall vs. the committing matcher (Table III).
-      const std::span<const Option> approx(outcome.results[m].options);
-      std::size_t hit = 0;
-      for (const Option& o : approx) {
-        if (ContainsOption(exact, o)) ++hit;
-      }
-      agg.precision_sum +=
-          approx.empty() ? 1.0 : static_cast<double>(hit) / approx.size();
-      std::size_t covered = 0;
-      for (const Option& o : exact) {
-        if (ContainsOption(approx, o)) ++covered;
-      }
-      agg.recall_sum +=
-          exact.empty() ? 1.0 : static_cast<double>(covered) / exact.size();
-    }
-    // GeoPrune observability (slot 0, the committing path — including
-    // ladder fallbacks, which also run with the prefilter installed). The
-    // counters land in the run report's metrics block; the histogram gives
-    // the per-request pruned-vs-(pruned+verified) share in percent.
-    if (prune_filter_ != nullptr && outcome.evaluated[0]) {
-      const MatchStats& st = outcome.results[0].stats;
-      metrics_.AddCounter("prune/ellipse_checked", st.ellipse_checked);
-      metrics_.AddCounter("prune/ellipse_pruned", st.ellipse_pruned);
-      metrics_.AddCounter("prune/verified_vehicles", st.verified_vehicles);
-      const std::uint64_t denom = st.ellipse_pruned + st.verified_vehicles;
-      if (denom > 0) {
-        metrics_.Histogram("prune/pruned_share_pct")
-            .Add(100.0 * static_cast<double>(st.ellipse_pruned) /
-                 static_cast<double>(denom));
-      }
-    }
-    if (outcome.served) {
-      ++stats.served;
-    } else {
-      ++stats.unserved;
-    }
-  }
-  stats.shared = shared_requests_.size();
-  HarvestRunMetrics(matchers);
-  return stats;
-}
-
-void Engine::HarvestRunMetrics(std::span<Matcher* const> matchers) {
-  for (std::size_t m = 0; m < matchers.size(); ++m) {
-    const std::string base = "matcher/" + matchers[m]->name();
-    // Oracle batching stats accumulate per oracle since construction;
-    // merge the delta since the last harvest and reset the source so two
-    // Run() calls don't double count.
-    DistanceOracle* oracle =
-        m == 0 ? &match_oracle_ : matcher_oracles_[m - 1].get();
-    metrics_.MergeBatchStats(base + "/batch", oracle->batch_stats());
-    oracle->ResetBatchStats();
-  }
-  if (pool_ != nullptr) {
-    const std::uint64_t tasks = pool_->tasks_run();
-    const std::uint64_t wait = pool_->total_wait_micros();
-    metrics_.AddCounter("pool/tasks_run", tasks - pool_tasks_harvested_);
-    metrics_.AddCounter("pool/queue_wait_micros",
-                        wait - pool_wait_harvested_);
-    pool_tasks_harvested_ = tasks;
-    pool_wait_harvested_ = wait;
-  }
-  if (options_.tree_max_branches != KineticTree::kUnlimitedBranches) {
-    // Attribute capped-enumeration option loss. Per-tree counters are
-    // lifetime-cumulative, so fold only the delta since the last harvest.
-    std::uint64_t dropped = 0;
-    std::uint64_t cap_hits = 0;
-    for (const KineticTree& tree : fleet_) {
-      dropped += tree.branches_dropped();
-      cap_hits += tree.cap_hits();
-    }
-    metrics_.AddCounter("tree/branches_dropped",
-                        dropped - tree_dropped_harvested_);
-    metrics_.AddCounter("tree/cap_hits", cap_hits - tree_cap_hits_harvested_);
-    tree_dropped_harvested_ = dropped;
-    tree_cap_hits_harvested_ = cap_hits;
-  }
 }
 
 }  // namespace ptar

@@ -3,9 +3,10 @@
 // The engine owns the fleet (kinetic trees + grid registrations), drives
 // vehicle movement at a constant speed (paper Section VII: vehicles follow
 // their schedule when occupied and random-walk on road segments otherwise),
-// feeds the request stream to one or more matchers evaluated on an
-// *identical* world state (shadow evaluation), and commits one option per
-// request chosen by a configurable rider policy.
+// feeds the request stream in waves to one or more matcher slots evaluated
+// on an *identical* world snapshot (slot 0 commits; shadow slots are only
+// measured), and commits one option per request chosen by a configurable
+// rider policy.
 //
 // Index maintenance (vehicle movement updates, kinetic-tree refreshes,
 // re-registrations, commits) runs through a dedicated maintenance oracle so
@@ -38,10 +39,7 @@
 #include "kinetic/kinetic_tree.h"
 #include "kinetic/tree_auditor.h"
 #include "prune/ellipse_prefilter.h"
-#include "rideshare/grid_scan_matcher.h"
 #include "rideshare/matcher.h"
-#include "rideshare/ssa_matcher.h"
-#include "rideshare/work_budget.h"
 #include "sim/overload.h"
 
 namespace ptar {
@@ -77,25 +75,18 @@ struct EngineOptions {
   /// num_vehicles. Replay files (src/check) use this so that removing one
   /// vehicle during shrinking does not reshuffle every other start.
   std::vector<VertexId> start_vertices;
-  /// Worker threads for evaluating the shadow matchers of one request
-  /// concurrently (one task per matcher; each matcher gets its own
-  /// DistanceOracle). 1 = serial. Results are bit-identical either way:
-  /// matchers only read shared state and write into pre-assigned slots.
-  int threads = 1;
-  /// Matcher workers for the request-parallel pipeline (RunPipelined): a
-  /// wave of concurrent requests is matched by this many workers against
-  /// one frozen registry snapshot, then committed serially in request-id
-  /// order. 1 = the canonical serial replay (same wave structure, same
-  /// arbitration, no pool). Committed assignments are identical at every
-  /// thread count for a fixed wave_size (the `--serial_check` contract);
-  /// only execution overlaps. Ignored by the classic Run()/ProcessRequest
-  /// path.
+  /// Matcher workers (DESIGN.md §7, §12). A wave of requests is matched
+  /// against one frozen registry snapshot, one (request, matcher slot)
+  /// pair per unit of work spread over this many workers, then committed
+  /// serially in request-id order. Committed assignments, RunStats, and the
+  /// lifecycle log are identical at every thread count for a fixed
+  /// wave_size (the `--serial_check` contract); only execution overlaps.
   int engine_threads = 1;
-  /// Requests admitted per pipeline wave. 0 = auto (2 * engine_threads,
-  /// at least 1). NOTE: the auto value depends on engine_threads, so
-  /// cross-thread-count determinism comparisons must pin wave_size
-  /// explicitly (serial_check replays with the parallel run's resolved
-  /// value).
+  /// Requests admitted per wave. 0 = auto: 1 with one worker (the paper's
+  /// one-request-at-a-time online setting), else 2 * engine_threads.
+  /// NOTE: the auto value depends on engine_threads, so cross-thread-count
+  /// determinism comparisons must pin wave_size explicitly (serial_check
+  /// replays with the parallel run's resolved value).
   int wave_size = 0;
   /// Bounded re-match: a request whose chosen vehicle was taken by an
   /// earlier (lower-id) concurrent request re-matches against a fresh
@@ -132,8 +123,9 @@ struct EngineOptions {
 #endif
   /// GeoPrune candidate prefilter (src/prune). kEllipse builds one
   /// EllipsePrefilter at engine construction and installs it on every
-  /// MatchContext, so all matchers (including ladder fallbacks) interleave
-  /// calibrated-Euclidean ellipse checks with the grid lower bounds.
+  /// MatchContext, so all matcher slots (including ladder fallbacks)
+  /// interleave calibrated-Euclidean ellipse checks with the grid lower
+  /// bounds.
   /// Lossless: committed assignments and skylines are identical to kNone
   /// (the differential harness's --prune_check mode enforces this).
   PruneMode prune = PruneMode::kNone;
@@ -152,7 +144,7 @@ struct MatcherAggregate {
   MatchStats totals;
   std::uint64_t requests = 0;
   std::uint64_t options_sum = 0;
-  double precision_sum = 0.0;  ///< vs. the first matcher's option set.
+  double precision_sum = 0.0;  ///< vs. slot 0's round-0 option set.
   double recall_sum = 0.0;
   /// Per-request matching latency distribution. A fixed log-bucket
   /// histogram (O(1) memory, mergeable), not a sample list: percentiles
@@ -196,7 +188,7 @@ struct RunStats {
   /// Requests processed at each degradation level (index = DegradeLevel).
   std::array<std::uint64_t, kNumDegradeLevels> ladder_requests{};
 
-  // --- Request-parallel pipeline (RunPipelined; zero for classic Run). ---
+  // --- Wave pipeline. ---
   /// Waves the stream was processed in.
   std::uint64_t waves = 0;
   /// Conflict events: a request's chosen vehicle was already committed to
@@ -227,10 +219,10 @@ struct CommitRecord {
   friend bool operator==(const CommitRecord&, const CommitRecord&) = default;
 };
 
-/// Builds one matcher instance per pipeline worker, so concurrently-running
-/// workers never share a matcher object. Matchers are configuration-only in
-/// Match() (no mutable state), hence results do not depend on which worker
-/// instance served a request.
+/// Builds one matcher instance per worker for one slot, so concurrently
+/// running workers never share a matcher object. Matchers are
+/// configuration-only in Match() (no mutable state), hence results do not
+/// depend on which worker instance served a request.
 using MatcherFactory = std::function<std::unique_ptr<Matcher>()>;
 
 class Engine {
@@ -250,9 +242,6 @@ class Engine {
   const GridIndex& grid() const { return *grid_; }
   double now() const { return now_; }
 
-  /// Context bound to the counted matching oracle.
-  MatchContext MakeMatchContext();
-
   /// Sum of the fleet's kinetic-tree memory (Table IV's second row).
   std::size_t KineticTreeMemoryBytes() const;
 
@@ -265,30 +254,35 @@ class Engine {
   /// release-build counterpart of EngineOptions::audit_after_commit.
   ///
   /// Safe to call from another thread while RunPipelined is in flight: the
-  /// audit takes the pipeline's quiesce lock, so it observes the fleet only
+  /// audit takes the engine's quiesce lock, so it observes the fleet only
   /// at a wave boundary — a quiesced epoch where no matcher worker is
   /// running and no commit is half-applied — and never a torn tree. When no
-  /// pipeline is active the lock is uncontended and this behaves as before.
+  /// wave runs the lock is uncontended.
   AuditReport AuditFleet();
 
-  /// Installs `factory(slot)` as the fault hook on the counted matching
-  /// oracle (slot 0) and every shadow-matcher oracle (present and future;
-  /// slot m) — but never on the maintenance oracle, which stays a trusted
-  /// distance source for commits, refreshes, and audits. A factory (rather
-  /// than one hook) keeps per-hook state unshared across concurrently-used
-  /// oracles, and the slot argument lets callers exempt chosen slots (the
+  /// Installs `factory(slot)` as the fault hook on every matching oracle
+  /// of later waves: one oracle per (worker, matcher slot), and the factory
+  /// is called once per oracle with that oracle's slot (0 = committing) —
+  /// but never on the maintenance oracle, which stays a trusted distance
+  /// source for commits, refreshes, and audits. A factory (rather than one
+  /// hook) keeps per-hook state unshared across concurrently-used oracles,
+  /// and the slot argument lets callers exempt chosen slots (the
   /// differential harness keeps its reference matcher clean) by returning
-  /// a null hook. Pass nullptr to uninstall everywhere.
+  /// a null hook. Pass nullptr to uninstall.
   void SetFaultHookFactory(
-      std::function<DistanceOracle::FaultHook(std::size_t slot)> factory);
+      std::function<DistanceOracle::FaultHook(std::size_t slot)> factory) {
+    fault_hook_factory_ = std::move(factory);
+  }
 
-  /// Unified run metrics: engine phase-latency histograms
-  /// ("engine/<phase>_us"), per-matcher per-request distributions and
-  /// totals ("matcher/<name>/..."), oracle batching counters
-  /// ("matcher/<name>/batch/..."), and thread-pool queue stats ("pool/...").
-  /// Accumulates across Run() calls. Names follow the determinism
-  /// convention of obs::MetricsRegistry: only "pool/" entries and the
-  /// timing-suffixed ones may differ between equal-seed runs.
+  /// Unified run metrics (DESIGN.md §9): wave phase histograms
+  /// ("pipeline/..."), per-slot per-request distributions
+  /// ("matcher/<name>/..."), oracle batching counters (committing slot:
+  /// "pipeline/match/batch/...", shadow slots: "matcher/<name>/batch/..."),
+  /// GeoPrune and kinetic-tree cap counters ("prune/...", "tree/..."), and
+  /// thread-pool queue stats ("pool/..."). Accumulates across calls. Names
+  /// follow the determinism convention of obs::MetricsRegistry: only
+  /// "pool/" entries and the timing-suffixed ones may differ between
+  /// equal-seed runs.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   /// Windowed service-quality telemetry, accumulated across runs (engine
@@ -297,10 +291,9 @@ class Engine {
   const obs::WindowedTelemetry& telemetry() const { return telemetry_; }
 
   /// Attaches (or, with nullptr, detaches) a per-request lifecycle
-  /// recorder; not owned, must outlive the runs it observes. Both engines
-  /// record events only from their serial sections (classic per-request
-  /// path; pipeline admission/commit passes), so the recorded stream is
-  /// identical at every threads / engine_threads value.
+  /// recorder; not owned, must outlive the runs it observes. Events are
+  /// recorded only from the serial admission and commit passes, so the
+  /// recorded stream is identical at every engine_threads value.
   void SetLifecycleRecorder(obs::LifecycleRecorder* recorder) {
     lifecycle_ = recorder;
   }
@@ -326,27 +319,26 @@ class Engine {
     Status status = Status::OK();
   };
 
-  /// Advances to the request's submit time, repairs stale state, evaluates
-  /// every matcher on the identical snapshot, and commits the option chosen
-  /// (by policy) from the first matcher's result set.
+  /// Runs `request` as a one-request wave (the paper's online setting):
+  /// advances to its submit time, repairs stale state, evaluates every
+  /// borrowed matcher as one slot on the identical snapshot, and commits
+  /// the option chosen (by policy) from slot 0's result set.
   RequestOutcome ProcessRequest(const Request& request,
                                 std::span<Matcher* const> matchers);
 
-  /// Replays a whole (time-sorted) request stream; the first matcher is the
-  /// committing one and the precision/recall reference.
-  RunStats Run(std::span<const Request> requests,
-               std::span<Matcher* const> matchers);
-
-  /// Request-parallel pipeline (DESIGN.md §12). The stream is processed in
+  /// The engine's request loop (DESIGN.md §12). The stream is processed in
   /// waves of ResolvedWaveSize() requests: admission (overload shed +
   /// level capture, in request-id order) → advance world to the wave's
   /// latest submit time → refresh stale trees → freeze a registry snapshot
-  /// → match every admitted request concurrently on engine_threads workers
-  /// (per-worker matcher from `make_matcher`, per-worker DistanceOracle and
-  /// WorkBudget) → commit serially in request-id order. When two requests
-  /// picked the same vehicle, the lower id commits and the loser re-matches
-  /// against a fresh snapshot (at most max_rematch_rounds times, then a
-  /// serial tail against live state).
+  /// → match every (request, slot) pair on engine_threads workers → commit
+  /// serially in request-id order. Slot 0 is `make_matcher`'s matcher and
+  /// commits; each `shadow_matchers` factory adds a slot that is measured
+  /// on round 0 at the full ladder level only (precision / recall against
+  /// slot 0, Table III). Every factory is called engine_threads times,
+  /// serially, before any matching. When two requests picked the same
+  /// vehicle, the lower id commits and the loser re-matches slot 0 against
+  /// a fresh snapshot (at most max_rematch_rounds times, then a serial
+  /// tail against live state).
   ///
   /// Determinism: committed assignments depend on wave_size but not on
   /// engine_threads — workers read only the frozen snapshot, arbitration is
@@ -356,10 +348,12 @@ class Engine {
   /// receives one record per request, sorted by request id.
   RunStats RunPipelined(std::span<const Request> requests,
                         const MatcherFactory& make_matcher,
-                        std::vector<CommitRecord>* commit_log = nullptr);
+                        std::vector<CommitRecord>* commit_log = nullptr,
+                        const std::vector<MatcherFactory>& shadow_matchers =
+                            {});
 
-  /// Wave size actually used by RunPipelined: options.wave_size, or
-  /// 2 * engine_threads (at least 1) when 0.
+  /// Wave size actually used: options.wave_size, or the auto value (1 with
+  /// one worker, else 2 * engine_threads) when 0.
   int ResolvedWaveSize() const;
 
  private:
@@ -372,16 +366,14 @@ class Engine {
   };
 
   KineticTree::DistFn MaintenanceDistFn();
-  /// Context for matcher slot `m`: slot 0 gets match_oracle_, every other
-  /// slot its own oracle (created by EnsureMatcherOracles) so concurrent
-  /// matcher evaluations never share mutable state.
-  MatchContext MakeMatchContextFor(std::size_t m);
-  void EnsureMatcherOracles(std::size_t num_matchers);
-  /// Per-slot work budgets (only allocated when overload control is on).
-  void EnsureSlotBudgets(std::size_t num_matchers);
-  /// Arms slot `m`'s budget at the current degradation level and returns
-  /// it, or nullptr when overload control is disabled.
-  WorkBudget* ArmSlotBudget(std::size_t m);
+  /// The one request loop behind RunPipelined and ProcessRequest.
+  /// `matchers[w][s]` runs slot s on worker w (slot 0 commits). When
+  /// `outcomes` is non-null it receives every request's final outcome, in
+  /// disposition order.
+  RunStats RunWaves(std::span<const Request> requests,
+                    const std::vector<std::vector<Matcher*>>& matchers,
+                    std::vector<CommitRecord>* commit_log,
+                    std::vector<RequestOutcome>* outcomes);
   /// Feeds the finished request's signals to the overload controller and
   /// records the degrade/* transition counters and deadline slack.
   /// `worker_deadline_hit` is the request's own budget-latched wall
@@ -406,9 +398,6 @@ class Engine {
   void RefreshStaleTrees();
   const Option* ChooseOption(std::span<const Option> options);
   void CommitChoice(const Request& request, const Option& option);
-  /// Folds per-run oracle batching stats and pool queue stats into
-  /// metrics_ (and resets the sources so a later Run() adds only deltas).
-  void HarvestRunMetrics(std::span<Matcher* const> matchers);
 
   /// Builds the contraction hierarchy when `options` selects the CH
   /// backend (null otherwise); *out_micros receives the build time.
@@ -431,65 +420,40 @@ class Engine {
   /// Shared hierarchy for the kCH backend (null on kDijkstra); declared
   /// before the oracles, which capture a pointer to it at construction.
   std::unique_ptr<CHGraph> ch_graph_;
-  DistanceOracle match_oracle_;        ///< Counted, cleared per request.
   DistanceOracle maintenance_oracle_;  ///< Engine bookkeeping, uncounted.
-  /// Per-matcher oracles for slots >= 1 (slot 0 keeps match_oracle_).
-  std::vector<std::unique_ptr<DistanceOracle>> matcher_oracles_;
   /// Re-invoked for every oracle that matching may touch (see
   /// SetFaultHookFactory); null when no faults are injected.
   std::function<DistanceOracle::FaultHook(std::size_t)> fault_hook_factory_;
 
   OverloadController overload_;
-  /// One budget per matcher slot so pooled shadow evaluation stays
-  /// bit-identical to serial: each slot charges only its own work.
-  std::vector<std::unique_ptr<WorkBudget>> slot_budgets_;
-  /// Engine-owned fallback matchers for degraded levels (paper-default SSA
-  /// fraction; GRID verifies empty vehicles only).
-  SsaMatcher fallback_ssa_;
-  GridScanMatcher fallback_grid_;
   /// GeoPrune prefilter, built once at construction when options_.prune is
   /// kEllipse and installed on every MatchContext (null otherwise).
   std::unique_ptr<prune::EllipsePrefilter> prune_filter_;
-  /// Workers for shadow-matcher evaluation; null when options.threads == 1.
+  /// Matcher workers; created lazily on the first wave when
+  /// options.engine_threads > 1.
   std::unique_ptr<ThreadPool> pool_;
-  /// Workers for the request-parallel pipeline; created lazily on the
-  /// first RunPipelined call when options.engine_threads > 1.
-  std::unique_ptr<ThreadPool> engine_pool_;
-  /// Held by RunPipelined across each whole wave (admission through
-  /// commit) and by AuditFleet. Between waves — and whenever no pipeline
-  /// runs — the fleet, registry, and metrics are quiesced, which is the
-  /// only state an outside thread may observe.
+  /// Held across each whole wave (admission through commit) and by
+  /// AuditFleet. Between waves — and whenever no wave runs — the fleet,
+  /// registry, and metrics are quiesced, which is the only state an outside
+  /// thread may observe.
   std::mutex quiesce_mu_;
 
   std::unordered_set<RequestId> shared_requests_;
-  std::uint64_t served_ = 0;
 
   obs::MetricsRegistry metrics_;
   /// Per-window service-quality deltas (EngineOptions::telemetry).
   obs::WindowedTelemetry telemetry_;
   /// Per-request lifecycle recorder; not owned, null when detached.
   obs::LifecycleRecorder* lifecycle_ = nullptr;
-  /// Cached phase-histogram slots (map values are address-stable), so the
-  /// per-request path does one string lookup per phase at construction
-  /// instead of per request.
-  obs::LatencyHistogram* phase_advance_us_;
-  obs::LatencyHistogram* phase_refresh_us_;
-  obs::LatencyHistogram* phase_match_us_;
-  obs::LatencyHistogram* phase_commit_us_;
   /// max(0, deadline - elapsed) per request; only fed when a wall-clock
   /// deadline is configured (timing-suffixed, determinism-exempt).
   obs::LatencyHistogram* deadline_slack_us_;
-  /// Pool counter values already folded into metrics_ (the pool's atomics
-  /// are cumulative; HarvestRunMetrics adds only the delta).
+  /// Pool and kinetic-tree cap counter values already folded into metrics_
+  /// (the sources are cumulative; each call adds only the delta).
   std::uint64_t pool_tasks_harvested_ = 0;
   std::uint64_t pool_wait_harvested_ = 0;
-  /// Same, for engine_pool_ (folded as "pool/engine_*").
-  std::uint64_t engine_pool_tasks_harvested_ = 0;
-  /// Kinetic-tree cap counters already folded into metrics_ (per-tree
-  /// counters are cumulative; HarvestRunMetrics adds only the delta).
   std::uint64_t tree_dropped_harvested_ = 0;
   std::uint64_t tree_cap_hits_harvested_ = 0;
-  std::uint64_t engine_pool_wait_harvested_ = 0;
 };
 
 }  // namespace ptar

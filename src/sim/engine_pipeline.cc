@@ -1,26 +1,31 @@
-// Request-parallel pipeline (DESIGN.md §12).
+// The engine's request loop (DESIGN.md §12).
 //
-// The classic Run() mirrors the paper's online setting literally: one
-// request at a time, one matcher latency per request, throughput capped at
-// 1/latency regardless of core count. RunPipelined overlaps many
-// independent dispatch queries instead: the stream is cut into waves,
-// every request in a wave is matched concurrently against one frozen
-// registry snapshot, and the results are committed serially in request-id
-// order with conflict-aware arbitration.
+// The paper answers one request at a time (Section VII's online setting),
+// which is the one-request case of a batched formulation: the stream is cut
+// into waves, every (request, matcher slot) pair of a wave is matched
+// concurrently against one frozen registry snapshot, and the results are
+// committed serially in request-id order with conflict-aware arbitration.
+// ProcessRequest is a one-request wave through the same code.
 //
 //   admission -> advance -> refresh -> snapshot -> parallel match
 //            -> id-ordered commit -> (losers re-match, bounded) -> next wave
 //
-// Determinism contract: for a fixed wave_size, committed assignments are
-// identical at every engine_threads value. Matcher workers read only the
-// immutable snapshot and their own per-worker oracle/budget/matcher, the
-// arbiter is id-ordered, and all rng and overload-ladder draws happen
-// serially in id order on the pipeline thread. The only documented
-// exception is a configured wall-clock deadline (overload.deadline_ms),
-// which is nondeterministic by design. `--serial_check` re-runs the
-// workload at engine_threads=1 and compares CommitRecords to enforce this.
+// Slot 0 commits. Shadow slots (Table III's extra matchers) run on round 0
+// at the full ladder level only, against the same snapshot, and are scored
+// against slot 0's round-0 result in the commit pass.
+//
+// Determinism contract: for a fixed wave_size, committed assignments,
+// RunStats, and the lifecycle log are identical at every engine_threads
+// value. Matcher workers read only the immutable snapshot and their own
+// per-(worker, slot) oracle/budget/matcher, the arbiter is id-ordered, and
+// all rng and overload-ladder draws happen serially in id order on the
+// calling thread. The only documented exception is a configured wall-clock
+// deadline (overload.deadline_ms), which is nondeterministic by design.
+// `--serial_check` re-runs the workload at engine_threads=1 and compares
+// CommitRecords to enforce this.
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <unordered_set>
 #include <utility>
@@ -28,24 +33,51 @@
 
 #include "common/timer.h"
 #include "obs/trace.h"
+#include "rideshare/grid_scan_matcher.h"
+#include "rideshare/ssa_matcher.h"
+#include "rideshare/work_budget.h"
 #include "sim/engine.h"
 
 namespace ptar {
 
 namespace {
 
+/// Option-set overlap with a small numeric tolerance (Table III's precision
+/// / recall against the committing slot's result set).
+bool ContainsOption(std::span<const Option> set, const Option& o) {
+  for (const Option& x : set) {
+    if (x.vehicle == o.vehicle &&
+        std::abs(x.pickup_dist - o.pickup_dist) < 1e-6 &&
+        std::abs(x.price - o.price) < 1e-6) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Share of `of` that `in` also holds (1 when `of` is empty).
+double Coverage(std::span<const Option> of, std::span<const Option> in) {
+  if (of.empty()) return 1.0;
+  std::size_t hit = 0;
+  for (const Option& o : of) {
+    if (ContainsOption(in, o)) ++hit;
+  }
+  return static_cast<double>(hit) / of.size();
+}
+
 /// One admitted request travelling through a wave.
 struct InFlight {
   const Request* request = nullptr;
-  /// Ladder level captured at admission; fixes this request's budget and
+  /// Per-slot results and final disposition. `out.degrade_level` is the
+  /// ladder level captured at admission; it fixes this request's budget and
   /// matcher even if the ladder moves before its worker runs.
-  DegradeLevel level = DegradeLevel::kFull;
-  MatchResult result;
-  double elapsed_micros = 0.0;  ///< Worker-measured match wall time.
+  Engine::RequestOutcome out;
+  // --- Slot 0's worker-side measurements of its latest match. ---
+  double elapsed_micros = 0.0;
   bool budget_exhausted = false;
   bool deadline_hit = false;  ///< Worker budget's latched wall deadline.
   // --- Lifecycle attribution (deterministic; recorded at commit). ---
-  std::uint64_t wave = 0;            ///< 1-based admission wave.
+  std::uint64_t wave = 0;            ///< 1-based wave within the call.
   std::uint64_t snapshot_epoch = 0;  ///< Epoch of the committing match.
   std::uint64_t budget_limit = 0;
   std::uint64_t budget_spent = 0;
@@ -54,64 +86,115 @@ struct InFlight {
   bool serial_tail = false;          ///< Exhausted the re-match bound.
 };
 
-/// Everything one matcher worker owns. Nothing here is shared between
-/// workers, so the parallel phase reads only the snapshot and writes only
-/// pre-assigned InFlight slots.
-struct WorkerCtx {
-  std::unique_ptr<Matcher> matcher;  ///< Full-level matcher (factory-built).
-  SsaMatcher ssa{0.16};              ///< kSsa fallback (paper default).
-  GridScanMatcher grid_scan;         ///< kGridScan fallback.
+/// Everything one (worker, slot) pair owns.
+struct SlotCtx {
+  Matcher* matcher = nullptr;  ///< Full-level matcher (not owned).
   std::unique_ptr<DistanceOracle> oracle;
   WorkBudget budget;
+};
+
+/// Everything one matcher worker owns. Nothing here is shared between
+/// workers, so the parallel phase reads only the snapshot and writes only
+/// pre-assigned InFlight entries.
+struct WorkerCtx {
+  std::vector<SlotCtx> slots;
+  SsaMatcher ssa{0.16};       ///< Slot 0's kSsa fallback (paper default).
+  GridScanMatcher grid_scan;  ///< Slot 0's kGridScan fallback.
+};
+
+/// One unit of parallel work: slot `slot` of pending request `index`.
+struct Unit {
+  std::size_t index;
+  std::size_t slot;
 };
 
 }  // namespace
 
 int Engine::ResolvedWaveSize() const {
   if (options_.wave_size > 0) return options_.wave_size;
-  return std::max(1, 2 * options_.engine_threads);
+  // A single worker gains nothing from batching; its one-request waves are
+  // the paper's online setting.
+  return options_.engine_threads == 1 ? 1 : 2 * options_.engine_threads;
 }
 
-RunStats Engine::RunPipelined(std::span<const Request> requests,
-                              const MatcherFactory& make_matcher,
-                              std::vector<CommitRecord>* commit_log) {
+Engine::RequestOutcome Engine::ProcessRequest(
+    const Request& request, std::span<Matcher* const> matchers) {
+  PTAR_CHECK(!matchers.empty());
+  // Every worker borrows the caller's matchers: a one-request wave runs
+  // each slot at most once, so no matcher object is used concurrently.
+  const std::vector<std::vector<Matcher*>> slots(
+      static_cast<std::size_t>(options_.engine_threads),
+      std::vector<Matcher*>(matchers.begin(), matchers.end()));
+  std::vector<RequestOutcome> outcomes;
+  RunWaves({&request, 1}, slots, nullptr, &outcomes);
+  return std::move(outcomes.front());
+}
+
+RunStats Engine::RunPipelined(
+    std::span<const Request> requests, const MatcherFactory& make_matcher,
+    std::vector<CommitRecord>* commit_log,
+    const std::vector<MatcherFactory>& shadow_matchers) {
   PTAR_CHECK(make_matcher != nullptr);
-  const int workers = options_.engine_threads;
+  // One instance per (worker, slot), built per call, serially, before any
+  // matching: the factories may capture caller configuration, and
+  // per-call construction keeps the engine free of matcher-type state.
+  std::vector<std::unique_ptr<Matcher>> owned;
+  std::vector<std::vector<Matcher*>> slots(
+      static_cast<std::size_t>(options_.engine_threads));
+  const auto add_slot = [&](const MatcherFactory& factory) {
+    for (std::vector<Matcher*>& worker : slots) {
+      owned.push_back(factory());
+      PTAR_CHECK(owned.back() != nullptr);
+      worker.push_back(owned.back().get());
+    }
+  };
+  add_slot(make_matcher);
+  for (const MatcherFactory& factory : shadow_matchers) add_slot(factory);
+  return RunWaves(requests, slots, commit_log, nullptr);
+}
+
+RunStats Engine::RunWaves(std::span<const Request> requests,
+                          const std::vector<std::vector<Matcher*>>& matchers,
+                          std::vector<CommitRecord>* commit_log,
+                          std::vector<RequestOutcome>* outcomes) {
+  const std::size_t workers = matchers.size();
+  const std::size_t num_slots = matchers[0].size();
   const std::size_t wave_size = static_cast<std::size_t>(ResolvedWaveSize());
-  if (workers > 1 && engine_pool_ == nullptr) {
-    engine_pool_ = std::make_unique<ThreadPool>(workers);
-    engine_pool_->SetTaskWaitObserver([](double wait_micros) {
+  if (workers > 1 && pool_ == nullptr) {
+    pool_ = std::make_unique<ThreadPool>(static_cast<int>(workers));
+    // Queue-wait intervals land on the worker's own trace track; the
+    // recorder drops them (one branch) when tracing is off.
+    pool_->SetTaskWaitObserver([](double wait_micros) {
       obs::TraceRecorder::Global().RecordEndingNow("pool_queue_wait",
                                                    wait_micros);
     });
   }
 
-  // Per-worker state. Built per call: the factory may capture caller
-  // configuration, and per-call construction keeps the engine free of
-  // matcher-type state. Worker w's oracle takes fault hook slot w, mirroring
-  // the classic engine's slot-per-concurrent-oracle convention.
-  std::vector<WorkerCtx> worker_ctxs(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    worker_ctxs[w].matcher = make_matcher();
-    PTAR_CHECK(worker_ctxs[w].matcher != nullptr);
-    worker_ctxs[w].oracle =
-        std::make_unique<DistanceOracle>(graph_, ch_graph_.get());
-    if (fault_hook_factory_) {
-      worker_ctxs[w].oracle->SetFaultHook(
-          fault_hook_factory_(static_cast<std::size_t>(w)));
+  // Per-(worker, slot) state; oracle (w, s) takes fault hook slot s.
+  std::vector<WorkerCtx> worker_ctxs(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    worker_ctxs[w].slots.resize(num_slots);
+    for (std::size_t s = 0; s < num_slots; ++s) {
+      SlotCtx& slot = worker_ctxs[w].slots[s];
+      slot.matcher = matchers[w][s];
+      slot.oracle = std::make_unique<DistanceOracle>(graph_, ch_graph_.get());
+      if (fault_hook_factory_) {
+        slot.oracle->SetFaultHook(fault_hook_factory_(s));
+      }
     }
   }
 
   RunStats stats;
-  stats.matchers.resize(1);
-  stats.matchers[0].name = worker_ctxs[0].matcher->name();
-  MatcherAggregate& agg = stats.matchers[0];
+  stats.matchers.resize(num_slots);
 
   // Histogram slots are resolved under the quiesce lock: metrics_ is part
   // of the quiesced state a concurrent AuditFleet may touch.
-  obs::LatencyHistogram* matcher_latency_us;
-  obs::LatencyHistogram* matcher_compdists;
-  obs::LatencyHistogram* matcher_options;
+  struct SlotHists {
+    obs::LatencyHistogram* latency_us;
+    obs::LatencyHistogram* compdists;
+    obs::LatencyHistogram* options;
+  };
+  std::vector<SlotHists> slot_hists;
   obs::LatencyHistogram* queue_depth;
   obs::LatencyHistogram* wave_advance_us;
   obs::LatencyHistogram* wave_match_us;
@@ -120,10 +203,13 @@ RunStats Engine::RunPipelined(std::span<const Request> requests,
   obs::LatencyHistogram* request_latency_us;
   {
     std::lock_guard<std::mutex> setup_guard(quiesce_mu_);
-    const std::string matcher_base = "matcher/" + agg.name;
-    matcher_latency_us = &metrics_.Histogram(matcher_base + "/latency_us");
-    matcher_compdists = &metrics_.Histogram(matcher_base + "/compdists");
-    matcher_options = &metrics_.Histogram(matcher_base + "/options");
+    for (std::size_t s = 0; s < num_slots; ++s) {
+      stats.matchers[s].name = matchers[0][s]->name();
+      const std::string base = "matcher/" + stats.matchers[s].name;
+      slot_hists.push_back({&metrics_.Histogram(base + "/latency_us"),
+                            &metrics_.Histogram(base + "/compdists"),
+                            &metrics_.Histogram(base + "/options")});
+    }
     queue_depth = &metrics_.Histogram("pipeline/queue_depth");
     wave_advance_us = &metrics_.Histogram("pipeline/wave_advance_us");
     wave_match_us = &metrics_.Histogram("pipeline/wave_match_us");
@@ -133,79 +219,151 @@ RunStats Engine::RunPipelined(std::span<const Request> requests,
   }
 
   // Runs `fn(w)` for every worker index owning at least one of `count`
-  // requests (round-robin: request i belongs to worker i % workers), on the
-  // pool when present, inline otherwise. One task per worker, not per
-  // request: coarse tasks keep queue traffic negligible.
+  // units (round-robin: unit u belongs to worker u % workers), on the pool
+  // when present, inline otherwise. One task per worker, not per unit:
+  // coarse tasks keep queue traffic negligible.
   const auto parallel_match = [&](std::size_t count, auto&& fn) {
-    const int active =
-        static_cast<int>(std::min<std::size_t>(count, workers));
-    if (engine_pool_ == nullptr || active <= 1) {
-      for (int w = 0; w < active; ++w) fn(w);
+    const std::size_t active = std::min(count, workers);
+    if (pool_ == nullptr || active <= 1) {
+      for (std::size_t w = 0; w < active; ++w) fn(w);
       return;
     }
     std::vector<std::future<void>> pending;
     pending.reserve(active);
-    for (int w = 0; w < active; ++w) {
-      pending.push_back(engine_pool_->Submit([&fn, w] { fn(w); }));
+    for (std::size_t w = 0; w < active; ++w) {
+      pending.push_back(pool_->Submit([&fn, w] { fn(w); }));
     }
     for (std::future<void>& f : pending) f.get();
   };
 
-  // Matches `inflight[i]` on worker `w`'s private state against the frozen
-  // snapshot. Called concurrently, one invocation per (worker, request).
-  const auto match_one = [&](InFlight& inf, WorkerCtx& wctx,
-                             const RegistrySnapshot& snapshot) {
+  // Matches slot `s` of `inf` on worker `wctx`'s private state against the
+  // frozen snapshot. Called concurrently, one invocation per unit; the
+  // units of one request write disjoint entries of `inf`.
+  const auto match_unit = [&](InFlight& inf, std::size_t s, WorkerCtx& wctx,
+                              const RegistrySnapshot& snapshot) {
     // Request and wave ids ride on the span so a Perfetto track can be
     // correlated with the lifecycle log's records.
     obs::TraceSpan span("pipeline_match");
     span.AddArg("request", static_cast<std::int64_t>(inf.request->id));
     span.AddArg("wave", static_cast<std::int64_t>(inf.wave));
-    inf.snapshot_epoch = snapshot.global_epoch();
+    span.AddArg("slot", static_cast<std::int64_t>(s));
+    SlotCtx& slot = wctx.slots[s];
     MatchContext ctx;
     ctx.grid = grid_;
     ctx.registry = &registry_;
     ctx.fleet = &fleet_;
-    ctx.oracle = wctx.oracle.get();
+    ctx.oracle = slot.oracle.get();
     ctx.price_model = PriceModel{};
     ctx.snapshot = &snapshot;
+    ctx.prune = prune_filter_.get();
+    // Shadow slots only run at the full level.
+    const DegradeLevel level =
+        s == 0 ? inf.out.degrade_level : DegradeLevel::kFull;
     if (overload_.enabled()) {
-      wctx.budget = WorkBudget(overload_.BudgetForLevel(inf.level),
+      slot.budget = WorkBudget(overload_.BudgetForLevel(level),
                                overload_.DeadlineMicros());
       // Armed on the worker so a wall deadline starts when the matcher
-      // does, not while the request waits for its worker's earlier slice.
-      wctx.budget.Arm();
-      ctx.budget = &wctx.budget;
+      // does, not while the unit waits for its worker's earlier slice.
+      slot.budget.Arm();
+      ctx.budget = &slot.budget;
     }
-    Matcher* matcher = wctx.matcher.get();
-    if (inf.level == DegradeLevel::kSsa) matcher = &wctx.ssa;
-    if (inf.level == DegradeLevel::kGridScan) matcher = &wctx.grid_scan;
+    Matcher* matcher = slot.matcher;
+    if (level == DegradeLevel::kSsa) matcher = &wctx.ssa;
+    if (level == DegradeLevel::kGridScan) matcher = &wctx.grid_scan;
     Timer timer;
-    inf.result = matcher->Match(*inf.request, ctx);
+    inf.out.results[s] = matcher->Match(*inf.request, ctx);
+    inf.out.evaluated[s] = 1;
+    if (s > 0) return;
     inf.elapsed_micros = timer.ElapsedMicros();
+    inf.snapshot_epoch = snapshot.global_epoch();
     if (overload_.enabled()) {
-      inf.budget_exhausted = wctx.budget.Exhausted();
-      inf.deadline_hit = wctx.budget.deadline_hit();
-      // Captured per request: the worker reuses its budget object for its
-      // next slice, so the committing values must be latched here.
-      inf.budget_limit = wctx.budget.max_units();
-      inf.budget_spent = wctx.budget.used();
+      // Latched per request: the slot reuses its budget object for its
+      // next unit, so the committing values must be captured here.
+      inf.budget_exhausted = slot.budget.Exhausted();
+      inf.deadline_hit = slot.budget.deadline_hit();
+      inf.budget_limit = slot.budget.max_units();
+      inf.budget_spent = slot.budget.used();
     }
   };
 
-  // Final-disposition observability, called only from the serial commit
-  // pass (and the serial tail) so record order — and therefore the
-  // lifecycle file — is identical at every engine_threads value.
-  // `latency_micros` is the admission-to-commit wall time of the wave
-  // timer, the pipeline's per-request commit latency.
-  const auto record_outcome = [&](const InFlight& inf, const Option* chosen,
-                                  double latency_micros) {
+  // Round-0 bookkeeping, once per request in id order: ladder signals from
+  // slot 0's own worker-side measurements, GeoPrune attribution of the
+  // committing path (ladder fallbacks included), and the per-slot
+  // aggregates. Those describe the configured matchers, so degraded
+  // requests (fallback matchers) are excluded.
+  const auto account_first_match = [&](const InFlight& inf) {
+    ObserveOverload(inf.elapsed_micros, inf.budget_exhausted,
+                    inf.deadline_hit);
+    const MatchResult& first = inf.out.results[0];
+    if (!first.complete) {
+      ++stats.partial_skylines;
+      metrics_.AddCounter("degrade/partial_skylines", 1);
+    }
+    if (prune_filter_ != nullptr) {
+      const MatchStats& st = first.stats;
+      metrics_.AddCounter("prune/ellipse_checked", st.ellipse_checked);
+      metrics_.AddCounter("prune/ellipse_pruned", st.ellipse_pruned);
+      metrics_.AddCounter("prune/verified_vehicles", st.verified_vehicles);
+      const std::uint64_t denom = st.ellipse_pruned + st.verified_vehicles;
+      if (denom > 0) {
+        metrics_.Histogram("prune/pruned_share_pct")
+            .Add(100.0 * static_cast<double>(st.ellipse_pruned) /
+                 static_cast<double>(denom));
+      }
+    }
+    if (inf.out.degrade_level != DegradeLevel::kFull) return;
+    for (std::size_t s = 0; s < num_slots; ++s) {
+      const MatchResult& result = inf.out.results[s];
+      MatcherAggregate& agg = stats.matchers[s];
+      agg.totals.Accumulate(result.stats);
+      agg.latency_ms.Add(result.stats.elapsed_micros / 1e3);
+      ++agg.requests;
+      agg.options_sum += result.options.size();
+      agg.precision_sum += Coverage(result.options, first.options);
+      agg.recall_sum += Coverage(first.options, result.options);
+      slot_hists[s].latency_us->Add(result.stats.elapsed_micros);
+      slot_hists[s].compdists->Add(
+          static_cast<double>(result.stats.compdists));
+      slot_hists[s].options->Add(static_cast<double>(result.options.size()));
+    }
+  };
+
+  std::vector<CommitRecord> records;
+  records.reserve(requests.size());
+
+  // Commits `chosen` (null = unserved) as `inf`'s final disposition and
+  // records it. Called only from the serial commit pass and the serial
+  // tail, in request-id order, so record order — and therefore the
+  // lifecycle file — is identical at every engine_threads value. The
+  // commit latency is the admission-to-commit wall time of the wave timer.
+  const auto finish = [&](InFlight& inf, const Option* chosen,
+                          const Timer& wave_timer) {
+    CommitRecord record{.request = inf.request->id};
+    if (chosen == nullptr) {
+      ++stats.unserved;
+    } else {
+      ++stats.served;
+      CommitChoice(*inf.request, *chosen);
+      record = {.request = inf.request->id,
+                .served = true,
+                .vehicle = chosen->vehicle,
+                .pickup_dist = chosen->pickup_dist,
+                .price = chosen->price};
+      inf.out.served = true;
+      inf.out.chosen = *chosen;
+      if (options_.audit_after_commit) AuditAfterCommit(chosen->vehicle);
+    }
+    records.push_back(record);
+    const double latency_micros = wave_timer.ElapsedMicros();
+    request_latency_us->Add(latency_micros);
+    const DegradeLevel level = inf.out.degrade_level;
     if (obs::MetricsRegistry* w =
             TelemetryWindowFor(inf.request->submit_time)) {
       w->AddCounter(obs::kWindowRequests);
       w->AddCounter(chosen != nullptr ? obs::kWindowServed
                                       : obs::kWindowUnserved);
-      if (!inf.result.complete) w->AddCounter(obs::kWindowPartial);
-      w->AddCounter(obs::kWindowLadderLevels[static_cast<int>(inf.level)]);
+      if (!inf.out.results[0].complete) w->AddCounter(obs::kWindowPartial);
+      w->AddCounter(obs::kWindowLadderLevels[static_cast<int>(level)]);
       if (inf.conflicts > 0) {
         w->AddCounter(obs::kWindowConflicts, inf.conflicts);
       }
@@ -221,17 +379,17 @@ RunStats Engine::RunPipelined(std::span<const Request> requests,
       event.submit_time = inf.request->submit_time;
       event.wave = inf.wave;
       event.snapshot_epoch = inf.snapshot_epoch;
-      event.level = DegradeLevelName(inf.level);
-      event.matcher = inf.level == DegradeLevel::kFull
-                          ? agg.name
-                          : (inf.level == DegradeLevel::kSsa
+      event.level = DegradeLevelName(level);
+      event.matcher = level == DegradeLevel::kFull
+                          ? stats.matchers[0].name
+                          : (level == DegradeLevel::kSsa
                                  ? worker_ctxs[0].ssa.name()
                                  : worker_ctxs[0].grid_scan.name());
       event.budget_limit = inf.budget_limit;
       event.budget_spent = inf.budget_spent;
       event.budget_exhausted = inf.budget_exhausted;
-      event.partial = !inf.result.complete;
-      event.options = inf.result.options.size();
+      event.partial = !inf.out.results[0].complete;
+      event.options = inf.out.results[0].options.size();
       event.conflicts = inf.conflicts;
       event.rematch_rounds = inf.rematch_rounds;
       event.serial_tail = inf.serial_tail;
@@ -248,12 +406,11 @@ RunStats Engine::RunPipelined(std::span<const Request> requests,
       }
       lifecycle_->Record(event);
     }
+    if (outcomes != nullptr) outcomes->push_back(std::move(inf.out));
   };
 
-  std::vector<CommitRecord> records;
-  records.reserve(requests.size());
-
   std::size_t next = 0;
+  std::vector<Unit> units;
   while (next < requests.size()) {
     // One wave per lock hold: outside threads (AuditFleet) observe the
     // world only at wave boundaries — the quiesced epoch.
@@ -278,43 +435,50 @@ RunStats Engine::RunPipelined(std::span<const Request> requests,
                                 "_requests",
                             1);
       }
-      if (level == DegradeLevel::kShed) {
-        ++stats.shed_requests;
-        ++stats.unserved;
-        metrics_.AddCounter("degrade/shed_requests", 1);
-        records.push_back({.request = request.id, .shed = true});
-        // Shedding is (nearly) free, so it counts as a good signal; the
-        // ladder can recover mid-admission and later requests of the same
-        // wave then match again.
-        ObserveOverload(0.0, /*budget_exhausted=*/false);
-        if (obs::MetricsRegistry* w =
-                TelemetryWindowFor(request.submit_time)) {
-          w->AddCounter(obs::kWindowRequests);
-          w->AddCounter(obs::kWindowShed);
-          w->AddCounter(
-              obs::kWindowLadderLevels[static_cast<int>(level)]);
-        }
-        if (lifecycle_ != nullptr && lifecycle_->enabled()) {
-          obs::LifecycleEvent event;
-          event.request = request.id;
-          event.submit_time = request.submit_time;
-          event.wave = stats.waves;
-          event.level = DegradeLevelName(level);
-          event.disposition = "shed";
-          lifecycle_->Record(event);
-        }
-        continue;
-      }
       InFlight inf;
       inf.request = &request;
-      inf.level = level;
       inf.wave = stats.waves;
-      admitted.push_back(std::move(inf));
+      inf.out.results.resize(num_slots);
+      inf.out.evaluated.assign(num_slots, 0);
+      inf.out.degrade_level = level;
+      if (level != DegradeLevel::kShed) {
+        admitted.push_back(std::move(inf));
+        continue;
+      }
+      ++stats.shed_requests;
+      ++stats.unserved;
+      metrics_.AddCounter("degrade/shed_requests", 1);
+      records.push_back({.request = request.id, .shed = true});
+      // Shedding is (nearly) free, so it counts as a good signal; the
+      // ladder can recover mid-admission and later requests of the same
+      // wave then match again.
+      ObserveOverload(0.0, /*budget_exhausted=*/false);
+      if (obs::MetricsRegistry* w = TelemetryWindowFor(request.submit_time)) {
+        w->AddCounter(obs::kWindowRequests);
+        w->AddCounter(obs::kWindowShed);
+        w->AddCounter(obs::kWindowLadderLevels[static_cast<int>(level)]);
+      }
+      if (lifecycle_ != nullptr && lifecycle_->enabled()) {
+        obs::LifecycleEvent event;
+        event.request = request.id;
+        event.submit_time = request.submit_time;
+        event.wave = stats.waves;
+        event.level = DegradeLevelName(level);
+        event.disposition = "shed";
+        lifecycle_->Record(event);
+      }
+      if (outcomes != nullptr) {
+        inf.out.shed = true;
+        inf.out.status = Status::ResourceExhausted(
+            "overload ladder at shed level: request refused unmatched");
+        outcomes->push_back(std::move(inf.out));
+      }
     }
     queue_depth->Add(static_cast<double>(admitted.size()));
 
     // --- Advance the world to the wave's horizon, once per wave. ---
     {
+      PTAR_TRACE_SPAN("pipeline_advance");
       Timer timer;
       AdvanceTo(wave.back().submit_time);
       RefreshStaleTrees();
@@ -324,21 +488,30 @@ RunStats Engine::RunPipelined(std::span<const Request> requests,
     // --- Match / commit rounds. ---
     std::vector<InFlight> pending = std::move(admitted);
     std::unordered_set<VehicleId> touched;
-    int round = 0;
-    while (!pending.empty()) {
+    for (int round = 0; !pending.empty(); ++round) {
       RegistrySnapshot snapshot;
       {
         Timer timer;
         snapshot = registry_.TakeSnapshot();
         snapshot_us->Add(timer.ElapsedMicros());
       }
+      // Units in request-id order, slots in order within a request; with
+      // one slot, unit i is request i.
+      units.clear();
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        units.push_back({i, 0});
+        if (round > 0 || pending[i].out.degrade_level != DegradeLevel::kFull) {
+          continue;
+        }
+        for (std::size_t s = 1; s < num_slots; ++s) units.push_back({i, s});
+      }
       {
         PTAR_TRACE_SPAN("pipeline_match_round");
         Timer timer;
-        parallel_match(pending.size(), [&](int w) {
-          for (std::size_t i = static_cast<std::size_t>(w);
-               i < pending.size(); i += workers) {
-            match_one(pending[i], worker_ctxs[w], snapshot);
+        parallel_match(units.size(), [&](std::size_t w) {
+          for (std::size_t u = w; u < units.size(); u += workers) {
+            match_unit(pending[units[u].index], units[u].slot,
+                       worker_ctxs[w], snapshot);
           }
         });
         wave_match_us->Add(timer.ElapsedMicros());
@@ -348,45 +521,14 @@ RunStats Engine::RunPipelined(std::span<const Request> requests,
       // never pays a COW clone.
       snapshot = RegistrySnapshot();
 
+      PTAR_TRACE_SPAN("pipeline_commit");
       Timer commit_timer;
       touched.clear();
       std::vector<InFlight> losers;
       for (InFlight& inf : pending) {
-        if (round == 0) {
-          // Ladder signals are fed once per request, in id order, from the
-          // request's own worker-side measurements.
-          ObserveOverload(inf.elapsed_micros, inf.budget_exhausted,
-                          inf.deadline_hit);
-          if (!inf.result.complete) {
-            ++stats.partial_skylines;
-            metrics_.AddCounter("degrade/partial_skylines", 1);
-          }
-          if (inf.level == DegradeLevel::kFull) {
-            // Aggregates describe the configured matcher, so degraded
-            // requests (fallback matchers) are excluded, like the classic
-            // engine excludes them from slot 0.
-            agg.totals.Accumulate(inf.result.stats);
-            agg.latency_ms.Add(inf.result.stats.elapsed_micros / 1e3);
-            ++agg.requests;
-            agg.options_sum += inf.result.options.size();
-            agg.precision_sum += 1.0;  // committing matcher is its own
-            agg.recall_sum += 1.0;     // reference
-            matcher_latency_us->Add(inf.result.stats.elapsed_micros);
-            matcher_compdists->Add(
-                static_cast<double>(inf.result.stats.compdists));
-            matcher_options->Add(
-                static_cast<double>(inf.result.options.size()));
-          }
-        }
-        const Option* chosen = ChooseOption(inf.result.options);
-        if (chosen == nullptr) {
-          ++stats.unserved;
-          records.push_back({.request = inf.request->id});
-          request_latency_us->Add(wave_timer.ElapsedMicros());
-          record_outcome(inf, nullptr, wave_timer.ElapsedMicros());
-          continue;
-        }
-        if (touched.contains(chosen->vehicle)) {
+        if (round == 0) account_first_match(inf);
+        const Option* chosen = ChooseOption(inf.out.results[0].options);
+        if (chosen != nullptr && touched.contains(chosen->vehicle)) {
           // Conflict: a lower-id request of this round already took the
           // vehicle, so this result is stale. Re-match against a fresh
           // snapshot next round. The first loser of the next round faces
@@ -396,17 +538,8 @@ RunStats Engine::RunPipelined(std::span<const Request> requests,
           losers.push_back(std::move(inf));
           continue;
         }
-        touched.insert(chosen->vehicle);
-        ++stats.served;
-        CommitChoice(*inf.request, *chosen);
-        records.push_back({.request = inf.request->id,
-                           .served = true,
-                           .vehicle = chosen->vehicle,
-                           .pickup_dist = chosen->pickup_dist,
-                           .price = chosen->price});
-        request_latency_us->Add(wave_timer.ElapsedMicros());
-        record_outcome(inf, chosen, wave_timer.ElapsedMicros());
-        if (options_.audit_after_commit) AuditAfterCommit(chosen->vehicle);
+        if (chosen != nullptr) touched.insert(chosen->vehicle);
+        finish(inf, chosen, wave_timer);
       }
       wave_commit_us->Add(commit_timer.ElapsedMicros());
 
@@ -417,32 +550,14 @@ RunStats Engine::RunPipelined(std::span<const Request> requests,
         for (InFlight& inf : losers) {
           ++stats.serial_rematches;
           inf.serial_tail = true;
-          match_one(inf, worker_ctxs[0], registry_.TakeSnapshot());
-          const Option* chosen = ChooseOption(inf.result.options);
-          if (chosen == nullptr) {
-            ++stats.unserved;
-            records.push_back({.request = inf.request->id});
-          } else {
-            ++stats.served;
-            CommitChoice(*inf.request, *chosen);
-            records.push_back({.request = inf.request->id,
-                               .served = true,
-                               .vehicle = chosen->vehicle,
-                               .pickup_dist = chosen->pickup_dist,
-                               .price = chosen->price});
-            if (options_.audit_after_commit) {
-              AuditAfterCommit(chosen->vehicle);
-            }
-          }
-          request_latency_us->Add(wave_timer.ElapsedMicros());
-          record_outcome(inf, chosen, wave_timer.ElapsedMicros());
+          match_unit(inf, 0, worker_ctxs[0], registry_.TakeSnapshot());
+          finish(inf, ChooseOption(inf.out.results[0].options), wave_timer);
         }
         break;
       }
       stats.rematches += losers.size();
       for (InFlight& inf : losers) ++inf.rematch_rounds;
       pending = std::move(losers);
-      ++round;
     }
   }
 
@@ -453,23 +568,41 @@ RunStats Engine::RunPipelined(std::span<const Request> requests,
   metrics_.AddCounter("pipeline/rematches", stats.rematches);
   metrics_.AddCounter("pipeline/serial_rematches", stats.serial_rematches);
 
-  // Worker oracle batching stats merge into ONE key: the sum over requests
-  // is identical at every thread count (each request's match work is
-  // deterministic and worker assignment only partitions it).
+  // Oracle batching stats: the committing slot's workers merge into ONE
+  // key (the sum over requests is identical at every thread count: each
+  // request's match work is deterministic and worker assignment only
+  // partitions it), each shadow slot's into its matcher's key.
   for (WorkerCtx& wctx : worker_ctxs) {
-    metrics_.MergeBatchStats("pipeline/match/batch",
-                             wctx.oracle->batch_stats());
-    wctx.oracle->ResetBatchStats();
+    for (std::size_t s = 0; s < num_slots; ++s) {
+      metrics_.MergeBatchStats(
+          s == 0 ? std::string("pipeline/match/batch")
+                 : "matcher/" + stats.matchers[s].name + "/batch",
+          wctx.slots[s].oracle->batch_stats());
+    }
   }
-  if (engine_pool_ != nullptr) {
-    const std::uint64_t tasks = engine_pool_->tasks_run();
-    const std::uint64_t wait = engine_pool_->total_wait_micros();
-    metrics_.AddCounter("pool/engine_tasks_run",
-                        tasks - engine_pool_tasks_harvested_);
-    metrics_.AddCounter("pool/engine_queue_wait_micros",
-                        wait - engine_pool_wait_harvested_);
-    engine_pool_tasks_harvested_ = tasks;
-    engine_pool_wait_harvested_ = wait;
+  if (pool_ != nullptr) {
+    const std::uint64_t tasks = pool_->tasks_run();
+    const std::uint64_t wait = pool_->total_wait_micros();
+    metrics_.AddCounter("pool/tasks_run", tasks - pool_tasks_harvested_);
+    metrics_.AddCounter("pool/queue_wait_micros",
+                        wait - pool_wait_harvested_);
+    pool_tasks_harvested_ = tasks;
+    pool_wait_harvested_ = wait;
+  }
+  if (options_.tree_max_branches != KineticTree::kUnlimitedBranches) {
+    // Attribute capped-enumeration option loss. Per-tree counters are
+    // lifetime-cumulative, so fold only the delta since the last call.
+    std::uint64_t dropped = 0;
+    std::uint64_t cap_hits = 0;
+    for (const KineticTree& tree : fleet_) {
+      dropped += tree.branches_dropped();
+      cap_hits += tree.cap_hits();
+    }
+    metrics_.AddCounter("tree/branches_dropped",
+                        dropped - tree_dropped_harvested_);
+    metrics_.AddCounter("tree/cap_hits", cap_hits - tree_cap_hits_harvested_);
+    tree_dropped_harvested_ = dropped;
+    tree_cap_hits_harvested_ = cap_hits;
   }
 
   if (commit_log != nullptr) {

@@ -14,6 +14,7 @@
 #include "rideshare/ssa_matcher.h"
 #include "sim/engine.h"
 #include "sim/workload.h"
+#include "tests/scenario_builder.h"
 #include "tests/test_util.h"
 
 namespace ptar {
@@ -135,11 +136,10 @@ TEST(AdaptiveIndexTest, FullCoverageMatchersStayExact) {
   eopts.num_vehicles = 20;
   eopts.seed = 11;
   Engine engine(&*g, &*index, eopts);
-  BaselineMatcher ba;
-  SsaMatcher ssa(1.0);
-  DsaMatcher dsa(1.0);
-  std::vector<Matcher*> matchers = {&ba, &ssa, &dsa};
-  const RunStats stats = engine.Run(*requests, matchers);
+  const RunStats stats = engine.RunPipelined(
+      *requests, testing::FactoryOf<BaselineMatcher>(), nullptr,
+      {testing::FactoryOf<SsaMatcher>(1.0),
+       testing::FactoryOf<DsaMatcher>(1.0)});
   EXPECT_DOUBLE_EQ(stats.matchers[1].MeanPrecision(), 1.0);
   EXPECT_DOUBLE_EQ(stats.matchers[1].MeanRecall(), 1.0);
   EXPECT_DOUBLE_EQ(stats.matchers[2].MeanPrecision(), 1.0);

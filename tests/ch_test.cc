@@ -432,7 +432,7 @@ std::vector<RequestTrace> TraceRun(const World& w,
   EngineOptions opts;
   opts.num_vehicles = 20;
   opts.seed = 13;
-  opts.threads = threads;
+  opts.engine_threads = threads;
   opts.distance_backend = DistanceBackend::kCH;
   Engine engine(&w.graph, w.grid.get(), opts);
   BaselineMatcher ba;
@@ -499,9 +499,8 @@ TEST(EngineCHBackendTest, ServesRequestsOnCH) {
   opts.seed = 2;
   opts.distance_backend = DistanceBackend::kCH;
   Engine engine(&w.graph, w.grid.get(), opts);
-  BaselineMatcher ba;
-  std::vector<Matcher*> matchers = {&ba};
-  const RunStats stats = engine.Run(reqs.value(), matchers);
+  const RunStats stats = engine.RunPipelined(
+      reqs.value(), [] { return std::make_unique<BaselineMatcher>(); });
   EXPECT_GT(stats.served, 0u);
 }
 

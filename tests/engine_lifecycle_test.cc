@@ -1,7 +1,8 @@
 // Engine-level lifecycle contract: the sampled JSONL log is byte-identical
 // across engine_threads values (at a pinned wave_size — the same
-// determinism contract CommitRecords carry), the classic serial engine
-// attributes every request, and the disabled path costs (near) nothing.
+// determinism contract CommitRecords carry), the classic one-request-at-a-
+// time setting (default options: one request per wave) attributes every
+// request, and the disabled path costs (near) nothing.
 
 #include <algorithm>
 #include <memory>
@@ -108,9 +109,8 @@ TEST(EngineLifecycleTest, ClassicEngineAttributesEveryRequest) {
   obs::LifecycleRecorder recorder(lopts);
   engine.SetLifecycleRecorder(&recorder);
 
-  SsaMatcher ssa(0.5);
-  std::vector<Matcher*> matchers = {&ssa};
-  const RunStats stats = engine.Run(requests, matchers);
+  const RunStats stats = engine.RunPipelined(
+      requests, [] { return std::make_unique<SsaMatcher>(0.5); });
 
   EXPECT_EQ(recorder.events_recorded(), requests.size());
   const std::string& log = recorder.buffered();
@@ -130,9 +130,11 @@ TEST(EngineLifecycleTest, ClassicEngineAttributesEveryRequest) {
   }
   EXPECT_EQ(served, stats.served);
   EXPECT_EQ(unserved, stats.unserved);
-  // Classic runs have no waves; every event carries wave 0 and the SSA
-  // matcher attribution.
-  EXPECT_EQ(log.find("\"wave\":1"), std::string::npos);
+  // One request per wave: the last event carries the last wave, no event
+  // carries wave 0, and all carry the SSA matcher attribution.
+  EXPECT_EQ(stats.waves, requests.size());
+  EXPECT_NE(log.find("\"wave\":30"), std::string::npos);
+  EXPECT_EQ(log.find("\"wave\":0"), std::string::npos);
   EXPECT_NE(log.find("\"matcher\":\"SSA\""), std::string::npos);
   // The deterministic log never carries the wall-clock overlay.
   EXPECT_EQ(log.find("match_us"), std::string::npos);
@@ -150,10 +152,9 @@ TEST(EngineLifecycleTest, DisabledLifecycleCostsNothingMeasurable) {
     if (!telemetry_enabled) eopts.telemetry.window_seconds = 0.0;
     Engine engine(world.graph.get(), world.grid.get(), eopts);
     // Lifecycle stays unset — the --lifecycle_out-unset configuration.
-    SsaMatcher ssa(0.5);
-    std::vector<Matcher*> matchers = {&ssa};
     Timer timer;
-    engine.Run(requests, matchers);
+    engine.RunPipelined(requests,
+                        [] { return std::make_unique<SsaMatcher>(0.5); });
     return timer.ElapsedMillis();
   };
 

@@ -1,17 +1,21 @@
 // Request-parallel pipeline suite (DESIGN.md §12): commit parity between
 // thread counts on many seeds (the `--serial_check` contract as a unit
-// test), equivalence of the wave_size=1 pipeline with the classic serial
-// engine, deterministic id-ordered conflict arbitration when two requests
-// want the same vehicle, overload-ladder accounting under waved admission,
-// mid-run fleet audits against the quiesce lock, and the schema-v3
-// pipeline report block. Registered under the compound
+// test), the GeoPrune prefilter and kinetic-tree cap counters on pipelined
+// runs, deterministic id-ordered conflict arbitration when two requests
+// want the same vehicle (shadow slots measured on round 0 only),
+// overload-ladder accounting under waved admission, mid-run fleet audits
+// against the quiesce lock, and the schema-v3 pipeline report block. The
+// one-request-wave equivalence with the engine's former per-request loop
+// lives in golden_log_test. Registered under the compound
 // `engine-parallel-tsan` label so both `ctest -L engine-parallel` and the
 // sanitize config's `ctest -L tsan` select it; everything except the
 // audit test is single-seeded deterministic work (no wall-clock
 // deadlines), and the audit test is the one that genuinely races an
 // auditor thread against the pipeline for tsan to chew on.
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -20,7 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "obs/report.h"
+#include "rideshare/baseline_matcher.h"
 #include "rideshare/ssa_matcher.h"
 #include "scenario_builder.h"
 #include "sim/engine.h"
@@ -42,6 +48,7 @@ MatcherFactory SsaFactory() {
 struct PipeRun {
   RunStats stats;
   std::vector<CommitRecord> log;
+  obs::MetricsRegistry metrics;
 };
 
 PipeRun RunPipe(const GridWorld& world, std::span<const Request> requests,
@@ -57,6 +64,7 @@ PipeRun RunPipe(const GridWorld& world, std::span<const Request> requests,
   Engine engine(world.graph.get(), world.grid.get(), eopts);
   PipeRun run;
   run.stats = engine.RunPipelined(requests, SsaFactory(), &run.log);
+  run.metrics.MergeFrom(engine.metrics());
   return run;
 }
 
@@ -123,46 +131,72 @@ TEST(EngineParallelTest, MatcherAggregatesIdenticalAcrossThreadCounts) {
   EXPECT_GT(a.totals.compdists, 0u);
 }
 
-// --- wave_size=1 degenerates to the classic serial engine. ---
+// --- GeoPrune and tree-cap observability on pipelined runs. ---
 
-TEST(EngineParallelTest, WaveSizeOneMatchesClassicSerialEngine) {
+bool NearRelative(double a, double b) {
+  return std::abs(a - b) <= 1e-9 * std::max({1.0, std::abs(a), std::abs(b)});
+}
+
+TEST(EngineParallelTest, EllipsePrefilterIsLosslessInThePipeline) {
   const GridWorld world = MakeGridWorld();
   const std::vector<Request> requests = MakeRequestStream(
-      *world.graph, {.num_requests = 20, .seed = 9});
-
-  // Classic per-request loop, same matcher configuration.
-  EngineOptions copts;
-  copts.num_vehicles = 8;
-  copts.seed = 7;
-  copts.audit_after_commit = false;
-  Engine classic(world.graph.get(), world.grid.get(), copts);
-  SsaMatcher ssa(1.0);
-  std::vector<Matcher*> matchers = {&ssa};
-  std::vector<CommitRecord> expected;
-  for (const Request& request : requests) {
-    const Engine::RequestOutcome outcome =
-        classic.ProcessRequest(request, matchers);
-    CommitRecord record;
-    record.request = request.id;
-    if (outcome.served) {
-      record.served = true;
-      record.vehicle = outcome.chosen.vehicle;
-      record.pickup_dist = outcome.chosen.pickup_dist;
-      record.price = outcome.chosen.price;
-    }
-    expected.push_back(record);
-  }
-
-  // One request per wave: admission, advance, snapshot, match, commit —
-  // the same world evolution as ProcessRequest, so commits are identical
-  // whatever the worker count.
+      *world.graph, {.num_requests = 40, .duration_seconds = 300.0,
+                     .seed = 23});
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    const PipeRun run = RunPipe(world, requests, threads, /*wave_size=*/1);
-    EXPECT_EQ(run.log, expected);
-    EXPECT_EQ(run.stats.waves, requests.size());
-    EXPECT_EQ(run.stats.conflicts, 0u);  // A 1-wave cannot self-conflict.
+    const PipeRun plain = RunPipe(world, requests, threads, 4);
+    const PipeRun pruned =
+        RunPipe(world, requests, threads, 4, [](EngineOptions& eopts) {
+          eopts.prune = PruneMode::kEllipse;
+        });
+    EXPECT_GT(pruned.metrics.Counter("prune/ellipse_checked"), 0u);
+    EXPECT_GT(pruned.metrics.Counter("prune/verified_vehicles"), 0u);
+    ASSERT_EQ(pruned.log.size(), plain.log.size());
+    for (std::size_t i = 0; i < plain.log.size(); ++i) {
+      SCOPED_TRACE("request " + std::to_string(plain.log[i].request));
+      EXPECT_EQ(pruned.log[i].request, plain.log[i].request);
+      EXPECT_EQ(pruned.log[i].served, plain.log[i].served);
+      EXPECT_EQ(pruned.log[i].vehicle, plain.log[i].vehicle);
+      EXPECT_TRUE(
+          NearRelative(pruned.log[i].pickup_dist, plain.log[i].pickup_dist));
+      EXPECT_TRUE(NearRelative(pruned.log[i].price, plain.log[i].price));
+    }
   }
+}
+
+TEST(EngineParallelTest, CappedRunReportsFleetCapHits) {
+  const GridWorld world = MakeGridWorld();
+  const std::vector<Request> requests = MakeRequestStream(
+      *world.graph, {.num_requests = 60,
+                     .duration_seconds = 200.0,
+                     .epsilon = 1.0,
+                     .waiting_minutes = 6.0,
+                     .seed = 43});
+  EngineOptions eopts;
+  eopts.num_vehicles = 4;
+  eopts.vehicle_capacity = 6;
+  eopts.seed = 7;
+  eopts.engine_threads = 4;
+  eopts.wave_size = 4;
+  eopts.tree_max_branches = 8;
+  eopts.audit_after_commit = false;
+  Engine engine(world.graph.get(), world.grid.get(), eopts);
+  // Two calls: the counters fold each call's delta, so the running totals
+  // must still equal the fleet's lifetime sums.
+  const std::size_t half = requests.size() / 2;
+  engine.RunPipelined(std::span<const Request>(requests).first(half),
+                      SsaFactory());
+  engine.RunPipelined(std::span<const Request>(requests).subspan(half),
+                      SsaFactory());
+  std::uint64_t cap_hits = 0;
+  std::uint64_t dropped = 0;
+  for (const KineticTree& tree : engine.fleet()) {
+    cap_hits += tree.cap_hits();
+    dropped += tree.branches_dropped();
+  }
+  EXPECT_GT(cap_hits, 0u);
+  EXPECT_EQ(engine.metrics().Counter("tree/cap_hits"), cap_hits);
+  EXPECT_EQ(engine.metrics().Counter("tree/branches_dropped"), dropped);
 }
 
 // --- Forced conflict: two requests, one vehicle. ---
@@ -208,6 +242,26 @@ TEST_F(ConflictScenarioTest, ArbitrationIsDeterministicAndIdOrdered) {
     EXPECT_EQ(run.stats.conflicts, 1u);
     EXPECT_EQ(run.stats.rematches, 1u);
   }
+}
+
+TEST_F(ConflictScenarioTest, ShadowSlotsRunOnRoundZeroOnly) {
+  EngineOptions eopts;
+  Tweak()(eopts);
+  eopts.engine_threads = 2;
+  eopts.wave_size = 2;
+  eopts.audit_after_commit = false;
+  Engine engine(world_.graph.get(), world_.grid.get(), eopts);
+  const RunStats stats = engine.RunPipelined(
+      requests_, SsaFactory(), nullptr,
+      {[] { return std::make_unique<BaselineMatcher>(); }});
+  ASSERT_EQ(stats.rematches, 1u);
+  ASSERT_EQ(stats.matchers.size(), 2u);
+  // Both requests were measured once in every slot: the loser's re-match
+  // runs slot 0 alone.
+  EXPECT_EQ(stats.matchers[0].requests, 2u);
+  EXPECT_EQ(stats.matchers[1].requests, 2u);
+  EXPECT_EQ(engine.metrics().FindHistogram("matcher/BA/compdists")->count(),
+            2u);
 }
 
 TEST_F(ConflictScenarioTest, ExhaustedRematchBoundFallsBackToSerialTail) {

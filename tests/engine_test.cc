@@ -12,6 +12,7 @@
 namespace ptar {
 namespace {
 
+using testing::FactoryOf;
 using testing::GridWorld;
 
 GridWorld MakeWorld(std::uint64_t seed = 3) {
@@ -69,10 +70,9 @@ TEST(EngineTest, ServesRequestsEndToEnd) {
   EngineOptions opts;
   opts.num_vehicles = 20;
   Engine engine(w.graph.get(), w.grid.get(), opts);
-  BaselineMatcher ba;
-  std::vector<Matcher*> matchers = {&ba};
   const std::vector<Request> requests = MakeRequests(*w.graph, 30);
-  const RunStats stats = engine.Run(requests, matchers);
+  const RunStats stats =
+      engine.RunPipelined(requests, FactoryOf<BaselineMatcher>());
 
   EXPECT_EQ(stats.served + stats.unserved, 30u);
   EXPECT_GT(stats.served, 25u);  // plenty of fleet for 30 requests
@@ -91,10 +91,8 @@ TEST(EngineTest, AllRequestsEventuallyCompleted) {
   EngineOptions opts;
   opts.num_vehicles = 15;
   Engine engine(w.graph.get(), w.grid.get(), opts);
-  BaselineMatcher ba;
-  std::vector<Matcher*> matchers = {&ba};
   const std::vector<Request> requests = MakeRequests(*w.graph, 20);
-  engine.Run(requests, matchers);
+  engine.RunPipelined(requests, FactoryOf<BaselineMatcher>());
   // Give the fleet ample time to finish every trip.
   engine.AdvanceTo(20000.0);
   for (const KineticTree& tree : engine.fleet()) {
@@ -113,9 +111,8 @@ TEST(EngineTest, DeterministicRuns) {
     opts.num_vehicles = 15;
     opts.seed = 77;
     Engine engine(w.graph.get(), w.grid.get(), opts);
-    BaselineMatcher ba;
-    std::vector<Matcher*> matchers = {&ba};
-    (trial == 0 ? a : b) = engine.Run(requests, matchers);
+    (trial == 0 ? a : b) =
+        engine.RunPipelined(requests, FactoryOf<BaselineMatcher>());
   }
   EXPECT_EQ(a.served, b.served);
   EXPECT_EQ(a.shared, b.shared);
@@ -134,10 +131,9 @@ TEST(EngineTest, ChoicePoliciesAllRun) {
     opts.num_vehicles = 10;
     opts.policy = policy;
     Engine engine(w.graph.get(), w.grid.get(), opts);
-    BaselineMatcher ba;
-    std::vector<Matcher*> matchers = {&ba};
     const std::vector<Request> requests = MakeRequests(*w.graph, 10);
-    const RunStats stats = engine.Run(requests, matchers);
+    const RunStats stats =
+      engine.RunPipelined(requests, FactoryOf<BaselineMatcher>());
     EXPECT_GT(stats.served, 0u) << "policy " << static_cast<int>(policy);
   }
 }
@@ -179,8 +175,6 @@ TEST(EngineTest, SharingHappensWithConcentratedDemand) {
   // the hot vehicle); the test is about sharing, so pin the bounded mode.
   opts.tree_max_branches = 64;
   Engine engine(w.graph.get(), w.grid.get(), opts);
-  BaselineMatcher ba;
-  std::vector<Matcher*> matchers = {&ba};
   WorkloadOptions wopts;
   wopts.num_requests = 40;
   wopts.duration_seconds = 300.0;
@@ -191,7 +185,8 @@ TEST(EngineTest, SharingHappensWithConcentratedDemand) {
   wopts.seed = 12;
   auto requests = GenerateWorkload(*w.graph, wopts);
   ASSERT_TRUE(requests.ok());
-  const RunStats stats = engine.Run(*requests, matchers);
+  const RunStats stats =
+      engine.RunPipelined(*requests, FactoryOf<BaselineMatcher>());
   EXPECT_GT(stats.served, 0u);
   EXPECT_GT(stats.shared, 0u) << "no sharing in a forced-sharing scenario";
 }
@@ -204,10 +199,9 @@ TEST(EngineTest, PartialCoverageSsaCanCommit) {
   EngineOptions opts;
   opts.num_vehicles = 15;
   Engine engine(w.graph.get(), w.grid.get(), opts);
-  SsaMatcher ssa(0.16);
-  std::vector<Matcher*> matchers = {&ssa};
   const std::vector<Request> requests = MakeRequests(*w.graph, 25);
-  const RunStats stats = engine.Run(requests, matchers);
+  const RunStats stats = engine.RunPipelined(
+      requests, FactoryOf<SsaMatcher>(0.16));
   EXPECT_GT(stats.served, 20u);
   engine.AdvanceTo(20000.0);
   for (const KineticTree& tree : engine.fleet()) {
@@ -221,10 +215,8 @@ TEST(EngineTest, KineticMemoryTracksLoad) {
   opts.num_vehicles = 10;
   Engine engine(w.graph.get(), w.grid.get(), opts);
   const std::size_t before = engine.KineticTreeMemoryBytes();
-  BaselineMatcher ba;
-  std::vector<Matcher*> matchers = {&ba};
   const std::vector<Request> requests = MakeRequests(*w.graph, 10);
-  engine.Run(requests, matchers);
+  engine.RunPipelined(requests, FactoryOf<BaselineMatcher>());
   EXPECT_GT(engine.KineticTreeMemoryBytes(), 0u);
   EXPECT_GE(engine.KineticTreeMemoryBytes(), before);
 }

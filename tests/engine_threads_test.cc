@@ -1,16 +1,19 @@
-// Determinism of pooled shadow-matcher evaluation: running the BA/SSA/DSA
-// trio with --threads=4 must be bit-identical to --threads=1 on the same
-// seed — same served/unserved/shared totals, same per-matcher counters
-// (compdists in particular), same chosen options, and same skyline contents
-// for every request. Matchers only read shared world state and write into
-// pre-assigned result slots, and each matcher slot gets its own
-// DistanceOracle, so the parallel schedule cannot influence any value.
+// Determinism of shadow slots in the wave pipeline: running the BA/SSA/DSA
+// trio (BA commits, SSA and DSA shadow) on 4 or 8 workers must be
+// bit-identical to one worker at the same wave size — same served/
+// unserved/shared totals, same per-slot aggregates (compdists above all),
+// same chosen options, and same skyline contents for every slot of every
+// request. A (request, slot) pair is the unit of parallel work; each
+// (worker, slot) pair owns its DistanceOracle and budget, workers read
+// only the frozen snapshot, and results land in pre-assigned entries, so
+// the schedule cannot influence any value.
 
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "obs/metrics.h"
 #include "rideshare/baseline_matcher.h"
 #include "rideshare/dsa_matcher.h"
 #include "rideshare/ssa_matcher.h"
@@ -67,7 +70,7 @@ std::vector<RequestTrace> TraceRun(const World& w,
   EngineOptions opts;
   opts.num_vehicles = 20;
   opts.seed = 13;
-  opts.threads = threads;
+  opts.engine_threads = threads;
   Engine engine(&w.graph, w.grid.get(), opts);
   BaselineMatcher ba;
   SsaMatcher ssa;
@@ -89,50 +92,31 @@ std::vector<RequestTrace> TraceRun(const World& w,
   return traces;
 }
 
+/// BA commits; SSA and DSA are shadow slots. `wave_size` is pinned: the
+/// auto value depends on the worker count.
 RunStats StatsRun(const World& w, std::span<const Request> requests,
-                  int threads) {
+                  int threads, int wave_size,
+                  obs::MetricsRegistry* metrics_out = nullptr) {
   EngineOptions opts;
   opts.num_vehicles = 20;
   opts.seed = 13;
-  opts.threads = threads;
+  opts.engine_threads = threads;
+  opts.wave_size = wave_size;
   Engine engine(&w.graph, w.grid.get(), opts);
-  BaselineMatcher ba;
-  SsaMatcher ssa;
-  DsaMatcher dsa;
-  std::vector<Matcher*> matchers = {&ba, &ssa, &dsa};
-  return engine.Run(requests, matchers);
+  const RunStats stats = engine.RunPipelined(
+      requests, [] { return std::make_unique<BaselineMatcher>(); }, nullptr,
+      {[] { return std::make_unique<SsaMatcher>(); },
+       [] { return std::make_unique<DsaMatcher>(); }});
+  if (metrics_out != nullptr) metrics_out->MergeFrom(engine.metrics());
+  return stats;
 }
 
-TEST(EngineThreadsTest, PerRequestOutcomesBitIdenticalAcrossThreadCounts) {
-  const World w = MakeWorld();
-  const std::vector<Request> requests = MakeRequests(w.graph, 25);
-  const auto serial = TraceRun(w, requests, 1);
-  const auto pooled = TraceRun(w, requests, 4);
-  ASSERT_EQ(serial.size(), pooled.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    SCOPED_TRACE("request " + std::to_string(i));
-    EXPECT_EQ(serial[i].served, pooled[i].served);
-    EXPECT_EQ(serial[i].chosen, pooled[i].chosen);
-    ASSERT_EQ(serial[i].skylines.size(), pooled[i].skylines.size());
-    for (std::size_t m = 0; m < serial[i].skylines.size(); ++m) {
-      SCOPED_TRACE("matcher " + std::to_string(m));
-      // Option operator== is exact (==, not NEAR): skyline contents, order
-      // included, are bitwise identical.
-      EXPECT_EQ(serial[i].skylines[m], pooled[i].skylines[m]);
-      EXPECT_EQ(serial[i].compdists[m], pooled[i].compdists[m]);
-    }
-  }
-}
-
-TEST(EngineThreadsTest, RunStatsIdenticalAcrossThreadCounts) {
-  const World w = MakeWorld();
-  const std::vector<Request> requests = MakeRequests(w.graph, 25);
-  const RunStats serial = StatsRun(w, requests, 1);
-  const RunStats pooled = StatsRun(w, requests, 4);
-
+void ExpectSameAggregates(const RunStats& serial, const RunStats& pooled) {
   EXPECT_EQ(serial.served, pooled.served);
   EXPECT_EQ(serial.unserved, pooled.unserved);
   EXPECT_EQ(serial.shared, pooled.shared);
+  EXPECT_EQ(serial.conflicts, pooled.conflicts);
+  EXPECT_EQ(serial.rematches, pooled.rematches);
   ASSERT_EQ(serial.matchers.size(), pooled.matchers.size());
   for (std::size_t m = 0; m < serial.matchers.size(); ++m) {
     SCOPED_TRACE("matcher " + serial.matchers[m].name);
@@ -151,23 +135,71 @@ TEST(EngineThreadsTest, RunStatsIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.totals.pruned_cells, b.totals.pruned_cells);
     EXPECT_EQ(a.totals.pruned_vehicles, b.totals.pruned_vehicles);
   }
-  // Sanity: the run actually exercised the matchers.
+}
+
+TEST(EngineThreadsTest, PerRequestOutcomesBitIdenticalAcrossThreadCounts) {
+  const World w = MakeWorld();
+  const std::vector<Request> requests = MakeRequests(w.graph, 25);
+  const auto serial = TraceRun(w, requests, 1);
+  for (const int threads : {4, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const auto pooled = TraceRun(w, requests, threads);
+    ASSERT_EQ(serial.size(), pooled.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      SCOPED_TRACE("request " + std::to_string(i));
+      EXPECT_EQ(serial[i].served, pooled[i].served);
+      EXPECT_EQ(serial[i].chosen, pooled[i].chosen);
+      ASSERT_EQ(serial[i].skylines.size(), pooled[i].skylines.size());
+      for (std::size_t m = 0; m < serial[i].skylines.size(); ++m) {
+        SCOPED_TRACE("matcher " + std::to_string(m));
+        // Option operator== is exact (==, not NEAR): skyline contents,
+        // order included, are bitwise identical.
+        EXPECT_EQ(serial[i].skylines[m], pooled[i].skylines[m]);
+        EXPECT_EQ(serial[i].compdists[m], pooled[i].compdists[m]);
+      }
+    }
+  }
+}
+
+TEST(EngineThreadsTest, RunStatsIdenticalAcrossThreadCounts) {
+  const World w = MakeWorld();
+  const std::vector<Request> requests = MakeRequests(w.graph, 25);
+  // Waves of 6: several requests' shadow slots share one snapshot and
+  // interleave across workers.
+  obs::MetricsRegistry serial_metrics;
+  const RunStats serial = StatsRun(w, requests, 1, 6, &serial_metrics);
+  for (const int threads : {4, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    obs::MetricsRegistry pooled_metrics;
+    const RunStats pooled = StatsRun(w, requests, threads, 6, &pooled_metrics);
+    ExpectSameAggregates(serial, pooled);
+    // Per-slot per-request distributions, not just their sums.
+    for (const MatcherAggregate& agg : serial.matchers) {
+      for (const char* hist : {"/compdists", "/options"}) {
+        const std::string name = "matcher/" + agg.name + hist;
+        const obs::LatencyHistogram* a = serial_metrics.FindHistogram(name);
+        const obs::LatencyHistogram* b = pooled_metrics.FindHistogram(name);
+        ASSERT_NE(a, nullptr) << name;
+        ASSERT_NE(b, nullptr) << name;
+        EXPECT_TRUE(*a == *b) << name;
+      }
+    }
+  }
+  // Sanity: the run actually exercised every slot, and shadow slots were
+  // measured once per request (round 0), not again on re-matches.
   EXPECT_EQ(serial.served + serial.unserved, requests.size());
-  EXPECT_GT(serial.matchers[0].totals.compdists, 0u);
+  for (const MatcherAggregate& agg : serial.matchers) {
+    EXPECT_EQ(agg.requests, requests.size()) << agg.name;
+    EXPECT_GT(agg.totals.compdists, 0u) << agg.name;
+  }
 }
 
 TEST(EngineThreadsTest, OversizedPoolIsHarmless) {
-  // More threads than matchers: extra workers just idle.
+  // More workers than (request, slot) units: extra workers just idle.
   const World w = MakeWorld(5);
   const std::vector<Request> requests = MakeRequests(w.graph, 10, 21);
-  const RunStats serial = StatsRun(w, requests, 1);
-  const RunStats pooled = StatsRun(w, requests, 8);
-  EXPECT_EQ(serial.served, pooled.served);
-  ASSERT_EQ(serial.matchers.size(), pooled.matchers.size());
-  for (std::size_t m = 0; m < serial.matchers.size(); ++m) {
-    EXPECT_EQ(serial.matchers[m].totals.compdists,
-              pooled.matchers[m].totals.compdists);
-  }
+  ExpectSameAggregates(StatsRun(w, requests, 1, 1),
+                       StatsRun(w, requests, 8, 1));
 }
 
 }  // namespace

@@ -105,21 +105,6 @@ TEST(FlagParserTest, UnusedFlagsTracked) {
 
 // Round-trip of the shared CLI flag validators: every bad value must come
 // back as a Status (which the CLIs turn into a nonzero exit), never crash.
-TEST(FlagValidatorsTest, ThreadsFlagRejectsNonPositive) {
-  auto zero = ParseArgs({"--threads=0"});
-  ASSERT_TRUE(zero.ok());
-  EXPECT_FALSE(GetThreadsFlag(*zero).ok());
-  auto negative = ParseArgs({"--threads=-4"});
-  ASSERT_TRUE(negative.ok());
-  EXPECT_FALSE(GetThreadsFlag(*negative).ok());
-  auto garbage = ParseArgs({"--threads=many"});
-  ASSERT_TRUE(garbage.ok());
-  EXPECT_FALSE(GetThreadsFlag(*garbage).ok());
-  auto good = ParseArgs({"--threads=4"});
-  ASSERT_TRUE(good.ok());
-  EXPECT_EQ(*GetThreadsFlag(*good), 4);
-}
-
 TEST(FlagValidatorsTest, DistanceBackendRejectsUnknownNames) {
   EXPECT_FALSE(ParseDistanceBackend("bogus").ok());
   EXPECT_FALSE(ParseDistanceBackend("").ok());

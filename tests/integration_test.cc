@@ -16,6 +16,8 @@
 namespace ptar {
 namespace {
 
+using testing::FactoryOf;
+
 class IntegrationTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -45,11 +47,9 @@ TEST_F(IntegrationTest, ShadowComparisonReproducesPaperRelationships) {
   eopts.seed = 9;
   Engine engine(world_.graph.get(), world_.grid.get(), eopts);
 
-  BaselineMatcher ba;
-  SsaMatcher ssa(0.16);
-  DsaMatcher dsa(0.16);
-  std::vector<Matcher*> matchers = {&ba, &ssa, &dsa};
-  const RunStats stats = engine.Run(requests_, matchers);
+  const RunStats stats = engine.RunPipelined(
+      requests_, FactoryOf<BaselineMatcher>(), nullptr,
+      {FactoryOf<SsaMatcher>(0.16), FactoryOf<DsaMatcher>(0.16)});
 
   ASSERT_EQ(stats.matchers.size(), 3u);
   const MatcherAggregate& agg_ba = stats.matchers[0];
@@ -93,11 +93,9 @@ TEST_F(IntegrationTest, FullCoverageSearchIsExactOverWholeRun) {
   eopts.seed = 4;
   Engine engine(world_.graph.get(), world_.grid.get(), eopts);
 
-  BaselineMatcher ba;
-  SsaMatcher ssa(1.0);
-  DsaMatcher dsa(1.0);
-  std::vector<Matcher*> matchers = {&ba, &ssa, &dsa};
-  const RunStats stats = engine.Run(requests_, matchers);
+  const RunStats stats = engine.RunPipelined(
+      requests_, FactoryOf<BaselineMatcher>(), nullptr,
+      {FactoryOf<SsaMatcher>(1.0), FactoryOf<DsaMatcher>(1.0)});
 
   // Full-coverage SSA and DSA agree with BA on every request, so their
   // aggregate precision and recall are exactly 1.
@@ -121,12 +119,10 @@ TEST_F(IntegrationTest, GridAndTreeMemoryAccountingBehaveLikeTableIV) {
   eopts.num_vehicles = 20;
   Engine coarse_engine(world_.graph.get(), &*coarse, eopts);
   Engine fine_engine(world_.graph.get(), &*fine, eopts);
-  BaselineMatcher ba;
-  std::vector<Matcher*> matchers = {&ba};
-  coarse_engine.Run(requests_, matchers);
+  coarse_engine.RunPipelined(requests_, FactoryOf<BaselineMatcher>());
   const std::size_t coarse_tree_bytes =
       coarse_engine.KineticTreeMemoryBytes();
-  fine_engine.Run(requests_, matchers);
+  fine_engine.RunPipelined(requests_, FactoryOf<BaselineMatcher>());
   const std::size_t fine_tree_bytes = fine_engine.KineticTreeMemoryBytes();
   // Same fleet, same workload: tree memory within a small factor.
   EXPECT_LT(

@@ -11,6 +11,7 @@
 #include "rideshare/ssa_matcher.h"
 #include "sim/engine.h"
 #include "sim/workload.h"
+#include "tests/scenario_builder.h"
 
 namespace ptar {
 namespace {
@@ -119,10 +120,9 @@ TEST(MatchStatsTest, PruningCountersFireOverARun) {
   EngineOptions eopts;
   eopts.num_vehicles = 40;
   Engine engine(&w.graph, w.grid.get(), eopts);
-  BaselineMatcher ba;
-  SsaMatcher ssa(0.5);
-  std::vector<Matcher*> matchers = {&ba, &ssa};
-  const RunStats stats = engine.Run(w.requests, matchers);
+  const RunStats stats = engine.RunPipelined(
+      w.requests, testing::FactoryOf<BaselineMatcher>(), nullptr,
+      {testing::FactoryOf<SsaMatcher>(0.5)});
   const MatchStats& totals = stats.matchers[1].totals;
   // A realistic run must exercise both pruning tiers.
   EXPECT_GT(totals.pruned_vehicles, 0u);
@@ -136,9 +136,8 @@ TEST(MatchStatsTest, LatencyDistributionMatchesTotals) {
   EngineOptions eopts;
   eopts.num_vehicles = 10;
   Engine engine(&w.graph, w.grid.get(), eopts);
-  BaselineMatcher ba;
-  std::vector<Matcher*> matchers = {&ba};
-  const RunStats stats = engine.Run(w.requests, matchers);
+  const RunStats stats =
+      engine.RunPipelined(w.requests, testing::FactoryOf<BaselineMatcher>());
   const MatcherAggregate& agg = stats.matchers[0];
   ASSERT_EQ(agg.latency_ms.count(), w.requests.size());
   EXPECT_NEAR(agg.latency_ms.Sum(), agg.totals.elapsed_micros / 1e3, 1e-6);
@@ -158,7 +157,8 @@ TEST(MatchStatsTest, UnservableRequestIsReportedUnserved) {
   const auto outcome = engine.ProcessRequest(big, matchers);
   EXPECT_FALSE(outcome.served);
   EXPECT_TRUE(outcome.results[0].options.empty());
-  const RunStats stats = engine.Run({&big, 1}, matchers);
+  const RunStats stats =
+      engine.RunPipelined({&big, 1}, testing::FactoryOf<BaselineMatcher>());
   EXPECT_EQ(stats.served, 0u);
   EXPECT_EQ(stats.unserved, 1u);
 }

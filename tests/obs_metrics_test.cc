@@ -135,12 +135,12 @@ TEST(MetricsRegistryTest, CountersAccumulate) {
 
 TEST(MetricsRegistryTest, HistogramIsAddressStable) {
   MetricsRegistry reg;
-  LatencyHistogram* h = &reg.Histogram("engine/advance_us");
+  LatencyHistogram* h = &reg.Histogram("pipeline/wave_advance_us");
   for (int i = 0; i < 100; ++i) reg.Histogram("other" + std::to_string(i));
-  EXPECT_EQ(h, &reg.Histogram("engine/advance_us"));
+  EXPECT_EQ(h, &reg.Histogram("pipeline/wave_advance_us"));
   h->Add(1.0);
-  ASSERT_NE(reg.FindHistogram("engine/advance_us"), nullptr);
-  EXPECT_EQ(reg.FindHistogram("engine/advance_us")->count(), 1u);
+  ASSERT_NE(reg.FindHistogram("pipeline/wave_advance_us"), nullptr);
+  EXPECT_EQ(reg.FindHistogram("pipeline/wave_advance_us")->count(), 1u);
   EXPECT_EQ(reg.FindHistogram("never_touched"), nullptr);
 }
 
@@ -210,7 +210,7 @@ TEST(MetricsRegistryTest, ResetClearsEverything) {
 }
 
 TEST(MetricsRegistryTest, TimingMetricNamingConvention) {
-  EXPECT_TRUE(MetricsRegistry::IsTimingMetric("engine/advance_us"));
+  EXPECT_TRUE(MetricsRegistry::IsTimingMetric("pipeline/wave_advance_us"));
   EXPECT_TRUE(MetricsRegistry::IsTimingMetric("matcher/ssa/latency_us"));
   EXPECT_TRUE(MetricsRegistry::IsTimingMetric("x/latency_ms"));
   EXPECT_TRUE(MetricsRegistry::IsTimingMetric("pool/queue_wait_micros"));

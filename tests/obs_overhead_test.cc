@@ -48,13 +48,12 @@ TEST(TraceOverheadTest, DisabledRecorderStaysUntouched) {
   EngineOptions eopts;
   eopts.num_vehicles = 30;
   eopts.seed = 13;
-  eopts.threads = 4;
+  eopts.engine_threads = 4;
   Engine engine(&*graph, &*grid, eopts);
-  BaselineMatcher ba;
-  SsaMatcher ssa(0.5);
-  DsaMatcher dsa(0.5);
-  std::vector<Matcher*> matchers = {&ba, &ssa, &dsa};
-  const RunStats stats = engine.Run(*requests, matchers);
+  const RunStats stats = engine.RunPipelined(
+      *requests, [] { return std::make_unique<BaselineMatcher>(); }, nullptr,
+      {[] { return std::make_unique<SsaMatcher>(0.5); },
+       [] { return std::make_unique<DsaMatcher>(0.5); }});
   EXPECT_GT(stats.served + stats.unserved, 0u);
 
   EXPECT_EQ(rec.events_recorded(), events_before)

@@ -1,10 +1,10 @@
 // Trace-pipeline validity: running an instrumented engine with the
 // recorder on must produce Chrome trace-event JSON that (a) parses, (b)
 // carries ph/ts/dur/pid/tid on every event, (c) is well-nested per thread
-// track, and (d) covers the request phases. Also the determinism contract
-// of the metrics registry: a 4-thread run must produce bit-identical
-// non-timing metrics to a serial run on the same seed (only "pool/..." and
-// the *_us/*_ms/*_micros entries may differ).
+// track, and (d) covers the wave phases. Also the determinism contract of
+// the metrics registry: a 4-worker run must produce bit-identical
+// non-timing metrics to a one-worker run at the same wave size on the same
+// seed (only "pool/..." and the *_us/*_ms/*_micros entries may differ).
 
 #include <algorithm>
 #include <cctype>
@@ -229,13 +229,13 @@ RunStats RunTrio(const World& w, std::span<const Request> requests,
   EngineOptions eopts;
   eopts.num_vehicles = 40;
   eopts.seed = 13;
-  eopts.threads = threads;
+  eopts.engine_threads = threads;
+  eopts.wave_size = 4;  // Pinned: the auto value depends on the workers.
   Engine engine(&w.graph, w.grid.get(), eopts);
-  BaselineMatcher ba;
-  SsaMatcher ssa(0.5);
-  DsaMatcher dsa(0.5);
-  std::vector<Matcher*> matchers = {&ba, &ssa, &dsa};
-  RunStats stats = engine.Run(requests, matchers);
+  RunStats stats = engine.RunPipelined(
+      requests, [] { return std::make_unique<BaselineMatcher>(); }, nullptr,
+      {[] { return std::make_unique<SsaMatcher>(0.5); },
+       [] { return std::make_unique<DsaMatcher>(0.5); }});
   if (metrics_out != nullptr) metrics_out->MergeFrom(engine.metrics());
   return stats;
 }
@@ -301,15 +301,13 @@ TEST(TraceRecorderTest, WritesValidWellNestedChromeTrace) {
         {o.at("ts").number(), o.at("dur").number(), o.at("name").string()});
   }
 
-  // (d) the phase taxonomy is present: the four engine phases per request
-  // plus matcher-level spans.
+  // (d) the phase taxonomy is present: the wave phases, one match span per
+  // (request, slot) unit, plus matcher-level spans.
   for (const char* phase :
-       {"request", "advance", "refresh", "shadow_match", "commit"}) {
+       {"pipeline_wave", "pipeline_advance", "pipeline_match_round",
+        "pipeline_match", "pipeline_commit"}) {
     EXPECT_TRUE(names.contains(phase)) << phase;
   }
-  EXPECT_TRUE(names.contains("match_BA"));
-  EXPECT_TRUE(names.contains("match_SSA"));
-  EXPECT_TRUE(names.contains("match_DSA"));
   EXPECT_TRUE(names.contains("verify") || names.contains("expand_cell"));
 
   // With a 4-thread pool at least two tracks must have recorded.
@@ -370,8 +368,11 @@ TEST(TraceRecorderTest, DeterministicMetricsMatchAcrossThreadCounts) {
   // The convention must leave real metrics to compare (compdists, options,
   // batch counters) — an empty intersection would make this test vacuous.
   EXPECT_GE(compared, 6u);
-  EXPECT_EQ(serial.Counter("matcher/BA/batch/pairs_requested"),
-            pooled.Counter("matcher/BA/batch/pairs_requested"));
+  for (const char* batch : {"pipeline/match/batch/pairs_requested",
+                            "matcher/SSA/batch/pairs_requested"}) {
+    EXPECT_GT(serial.Counter(batch), 0u) << batch;
+    EXPECT_EQ(serial.Counter(batch), pooled.Counter(batch)) << batch;
+  }
 }
 
 }  // namespace

@@ -283,7 +283,7 @@ ReplayResult ReplayWithBudget(const GridWorld& world,
   EngineOptions eopts;
   eopts.num_vehicles = 25;
   eopts.seed = 5;
-  eopts.threads = threads;
+  eopts.engine_threads = threads;
   eopts.overload.request_budget = request_budget;
   eopts.audit_after_commit = false;  // Keep runs comparable across builds.
   Engine engine(world.graph.get(), world.grid.get(), eopts);
@@ -332,8 +332,8 @@ TEST(EngineOverloadTest, FixedBudgetIsBitIdenticalAcrossThreadCounts) {
           << "request " << r << " slot " << m;
       for (std::size_t i = 0; i < ra.options.size(); ++i) {
         EXPECT_EQ(ra.options[i].vehicle, rb.options[i].vehicle);
-        // Bit-identical, not merely close: per-slot serial execution with
-        // deterministic budgets must not depend on the thread count.
+        // Bit-identical, not merely close: per-slot budgets are
+        // deterministic, so the worker a slot ran on cannot matter.
         EXPECT_EQ(ra.options[i].pickup_dist, rb.options[i].pickup_dist);
         EXPECT_EQ(ra.options[i].price, rb.options[i].price);
       }
@@ -357,10 +357,9 @@ TEST(EngineOverloadTest, TinyBudgetWalksLadderToShedAndRecovers) {
   eopts.overload.recover_after = 2;
   eopts.audit_after_commit = false;
   Engine engine(world.graph.get(), world.grid.get(), eopts);
-  SsaMatcher ssa(0.16);
-  std::vector<Matcher*> matchers = {&ssa};
 
-  const RunStats stats = engine.Run(requests, matchers);
+  const RunStats stats = engine.RunPipelined(
+      requests, [] { return std::make_unique<SsaMatcher>(0.16); });
 
   // The ladder was actually walked: some requests ran degraded, some were
   // shed, and sheds count as unserved.
@@ -455,9 +454,8 @@ TEST(ReportRobustnessTest, EngineRunFeedsRobustnessBlock) {
   eopts.overload.degrade_after = 1;
   eopts.audit_after_commit = false;
   Engine engine(world.graph.get(), world.grid.get(), eopts);
-  SsaMatcher ssa(0.16);
-  std::vector<Matcher*> matchers = {&ssa};
-  const RunStats stats = engine.Run(requests, matchers);
+  const RunStats stats = engine.RunPipelined(
+      requests, [] { return std::make_unique<SsaMatcher>(0.16); });
 
   const obs::RunReport report =
       BuildRunReport(stats, engine.metrics(), "overload_test");

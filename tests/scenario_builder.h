@@ -14,6 +14,7 @@
 #include "graph/generators.h"
 #include "grid/grid_index.h"
 #include "kinetic/request.h"
+#include "sim/engine.h"
 #include "sim/workload.h"
 
 namespace ptar::testing {
@@ -72,6 +73,13 @@ inline std::vector<Request> MakeRequestStream(
   auto reqs = GenerateWorkload(graph, wopts);
   PTAR_CHECK(reqs.ok());
   return std::move(reqs).value();
+}
+
+/// Matcher slot factory for Engine::RunPipelined: builds an `M` from copies
+/// of `args` on every call.
+template <typename M, typename... Args>
+MatcherFactory FactoryOf(Args... args) {
+  return [args...] { return std::make_unique<M>(args...); };
 }
 
 }  // namespace ptar::testing

@@ -3,12 +3,16 @@
 // Both files (a checked-in baseline and a fresh BENCH_*.json, or any two
 // JSON documents made of objects/arrays/numbers, such as run reports) are
 // flattened into slash-separated numeric leaves; every leaf present in
-// either file is compared with a relative tolerance. Wall-clock metrics —
-// any path segment the obs naming convention marks as timing (suffix
-// "_us"/"_ms"/"_micros"), plus rate/speedup/host fields derived from wall
-// time — are exempt by default, because they legitimately move between
-// hosts; --include_timing gates them too. Exit 0 = within tolerance,
-// exit 1 = regressions listed on stdout, exit 2 = usage.
+// either file is compared with a relative tolerance. An array element that
+// is an object with a "label" (bench rows) or "name" (matchers) string is
+// keyed by the first such string, not by its position, so reordered rows
+// still pair up and a dropped row is reported by its label; the k-th
+// repeat (k >= 2) of a key among its siblings becomes "key#k". Wall-clock
+// metrics — any path segment the obs naming convention marks as timing
+// (suffix "_us"/"_ms"/"_micros"), plus rate/speedup/host fields derived
+// from wall time — are exempt by default, because they legitimately move
+// between hosts; --include_timing gates them too. Exit 0 = within
+// tolerance, exit 1 = regressions listed on stdout, exit 2 = usage.
 //
 //   ptar_bench_gate --baseline=FILE --candidate=FILE [--tolerance=0.10]
 //                   [--include_timing]
@@ -58,21 +62,27 @@ StatusOr<std::string> ReadFile(const std::string& path) {
 }
 
 /// Flattens every numeric leaf of a JSON document into
-/// "obj_key/arr_index/.../leaf_key" -> value. A structural scanner for the
-/// well-formed JSON our writers emit, not a general validator: strings are
-/// skipped (with escape handling), object keys become path segments, array
-/// elements get their index as a segment.
+/// "obj_key/element_key/.../leaf_key" -> value. A structural scanner for
+/// the well-formed JSON our writers emit, not a general validator: strings
+/// are skipped (with escape handling), object keys become path segments,
+/// array elements get their index as a segment, renamed at the end to the
+/// element's label/name key where it has one.
 StatusOr<std::map<std::string, double>> NumericLeaves(
     const std::string& json) {
   std::map<std::string, double> leaves;
   struct Frame {
     bool is_array = false;
     std::size_t index = 0;  ///< Next array element's index.
+    /// Array frames: occurrences of each element key so far.
+    std::map<std::string, int> key_counts;
+    bool keyed = false;  ///< Object frames: element key already set.
   };
   std::vector<Frame> stack;
   std::vector<std::string> path;
   std::string pending_key;
   bool have_key = false;
+  /// Index path of a keyed array element -> its key segment.
+  std::map<std::string, std::string> element_keys;
 
   const auto push_segment = [&] {
     if (!stack.empty() && stack.back().is_array) {
@@ -82,13 +92,27 @@ StatusOr<std::map<std::string, double>> NumericLeaves(
     }
     have_key = false;
   };
-  const auto joined = [&] {
+  const auto joined = [](const std::vector<std::string>& segments,
+                         std::size_t count) {
     std::string s;
-    for (const std::string& seg : path) {
+    for (std::size_t k = 0; k < count; ++k) {
       if (!s.empty()) s += '/';
-      s += seg;
+      s += segments[k];
     }
     return s;
+  };
+  // Keys the array element whose object is on top of the stack by `text`
+  // when it is the element's first "label" or "name" value.
+  const auto maybe_key_element = [&](const std::string& text) {
+    if ((pending_key != "label" && pending_key != "name") ||
+        stack.size() < 2 || stack.back().is_array || stack.back().keyed ||
+        !stack[stack.size() - 2].is_array) {
+      return;
+    }
+    stack.back().keyed = true;
+    const int k = ++stack[stack.size() - 2].key_counts[text];
+    element_keys[joined(path, path.size())] =
+        k == 1 ? text : text + "#" + std::to_string(k);
   };
 
   std::size_t i = 0;
@@ -115,12 +139,16 @@ StatusOr<std::map<std::string, double>> NumericLeaves(
         i = j + 1;
       } else if (!stack.empty() && stack.back().is_array) {
         ++stack.back().index;  // string array element
+      } else if (have_key) {
+        maybe_key_element(text);
+        have_key = false;
       }
       continue;
     }
     if (c == '{' || c == '[') {
       push_segment();
-      stack.push_back(Frame{c == '[', 0});
+      stack.emplace_back();
+      stack.back().is_array = c == '[';
       ++i;
       continue;
     }
@@ -138,7 +166,7 @@ StatusOr<std::map<std::string, double>> NumericLeaves(
       char* end = nullptr;
       const double value = std::strtod(json.c_str() + i, &end);
       push_segment();
-      leaves[joined()] = value;
+      leaves[joined(path, path.size())] = value;
       path.pop_back();
       if (!stack.empty() && stack.back().is_array) ++stack.back().index;
       i = static_cast<std::size_t>(end - json.c_str());
@@ -157,7 +185,27 @@ StatusOr<std::map<std::string, double>> NumericLeaves(
   if (!stack.empty()) {
     return Status::InvalidArgument("unbalanced JSON nesting");
   }
-  return leaves;
+  if (element_keys.empty()) return leaves;
+
+  // Rename keyed elements' index segments, outermost first: the lookup key
+  // is always the original index path.
+  std::map<std::string, double> keyed;
+  for (const auto& [leaf, value] : leaves) {
+    std::vector<std::string> original;
+    for (std::size_t start = 0;;) {
+      const std::size_t slash = leaf.find('/', start);
+      original.push_back(leaf.substr(start, slash - start));
+      if (slash == std::string::npos) break;
+      start = slash + 1;
+    }
+    std::vector<std::string> renamed = original;
+    for (std::size_t k = 1; k <= original.size(); ++k) {
+      const auto it = element_keys.find(joined(original, k));
+      if (it != element_keys.end()) renamed[k - 1] = it->second;
+    }
+    keyed[joined(renamed, renamed.size())] = value;
+  }
+  return keyed;
 }
 
 /// Metrics that legitimately differ between hosts/runs: any timing-suffixed

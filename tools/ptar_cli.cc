@@ -71,7 +71,7 @@ int Help() {
       "  simulate --network=FILE --requests=FILE [--vehicles=N]\n"
       "      [--capacity=N] [--cell-size=M] [--adaptive] [--fraction=F]\n"
       "      [--policy=price|time|balanced|random] [--shadow] [--seed=N]\n"
-      "      [--threads=N] [--distance_backend=dijkstra|ch]\n"
+      "      [--distance_backend=dijkstra|ch]\n"
       "      [--prune=none|ellipse]\n"
       "      [--request_budget=N] [--deadline_ms=MS] [--inject=SPEC]\n"
       "      [--tree_max_branches=N]\n"
@@ -220,7 +220,6 @@ int Simulate(const FlagParser& flags) {
   const auto fraction = flags.GetDouble("fraction", 0.16);
   const auto seed = flags.GetInt("seed", 13);
   const auto shadow = flags.GetBool("shadow", false);
-  const auto threads = GetThreadsFlag(flags);
   const bool adaptive = flags.Has("adaptive");
   const std::string trace_out = flags.GetString("trace_out", "");
   const std::string report_out = flags.GetString("report_out", "");
@@ -236,15 +235,13 @@ int Simulate(const FlagParser& flags) {
   const auto tree_max_branches = flags.GetInt("tree_max_branches", 0);
   const std::string inject = flags.GetString("inject", "");
   const std::string prune_name = flags.GetString("prune", "none");
-  const bool pipelined = flags.Has("engine_threads") ||
-                         flags.Has("wave_size") || flags.Has("serial_check");
   const auto engine_threads = flags.GetInt("engine_threads", 1);
   const auto wave_size = flags.GetInt("wave_size", 0);
   const auto serial_check = flags.GetBool("serial_check", false);
   for (const Status& st :
        {vehicles.status(), capacity.status(), cell_size.status(),
         fraction.status(), seed.status(), shadow.status(),
-        threads.status(), policy.status(), backend.status(),
+        policy.status(), backend.status(),
         request_budget.status(), deadline_ms.status(),
         engine_threads.status(), wave_size.status(),
         serial_check.status(), lifecycle_sample.status(),
@@ -276,12 +273,6 @@ int Simulate(const FlagParser& flags) {
   if (!ParsePruneMode(prune_name, &prune_mode)) {
     return FailUsage("--prune must be none|ellipse");
   }
-  if (pipelined && *shadow) {
-    return FailUsage(
-        "--shadow is incompatible with the request-parallel pipeline "
-        "(--engine_threads/--wave_size/--serial_check): shadow evaluation "
-        "needs one world state per request");
-  }
   check::FaultPlan fault_plan;
   if (!inject.empty()) {
     auto plan = check::ParseFaultPlan(inject);
@@ -300,7 +291,6 @@ int Simulate(const FlagParser& flags) {
   eopts.vehicle_capacity = static_cast<int>(*capacity);
   eopts.policy = *policy;
   eopts.seed = static_cast<std::uint64_t>(*seed);
-  eopts.threads = *threads;
   eopts.engine_threads = static_cast<int>(*engine_threads);
   eopts.wave_size = static_cast<int>(*wave_size);
   eopts.distance_backend = *backend;
@@ -330,37 +320,34 @@ int Simulate(const FlagParser& flags) {
     });
   }
 
-  BaselineMatcher ba;
-  SsaMatcher ssa(*fraction);
-  DsaMatcher dsa(*fraction);
-  std::vector<Matcher*> matchers;
-  if (*shadow) {
-    matchers = {&ba, &ssa, &dsa};  // exact commits, all three measured
-  } else {
-    matchers = {&ssa};  // production setup: SSA commits
-  }
+  // Production setup: SSA commits. --shadow commits exact BA results and
+  // measures SSA and DSA against them as shadow slots.
+  const double ssa_fraction = *fraction;
+  const MatcherFactory make_ssa = [ssa_fraction] {
+    return std::make_unique<SsaMatcher>(ssa_fraction);
+  };
+  const MatcherFactory make_dsa = [ssa_fraction] {
+    return std::make_unique<DsaMatcher>(ssa_fraction);
+  };
+  const MatcherFactory make_ba = [] {
+    return std::make_unique<BaselineMatcher>();
+  };
+  const MatcherFactory make_matcher = *shadow ? make_ba : make_ssa;
+  const std::vector<MatcherFactory> shadow_matchers =
+      *shadow ? std::vector<MatcherFactory>{make_ssa, make_dsa}
+              : std::vector<MatcherFactory>{};
 
   std::printf("simulating %zu requests, %d vehicles, %zu cells (%s)...\n",
               requests->size(), eopts.num_vehicles,
               grid->num_active_cells(), adaptive ? "quadtree" : "uniform");
   if (!trace_out.empty()) obs::TraceRecorder::Global().Start();
-  RunStats stats;
-  double run_micros = 0.0;
   std::vector<CommitRecord> commit_log;
-  if (pipelined) {
-    const double ssa_fraction = *fraction;
-    const MatcherFactory make_matcher = [ssa_fraction] {
-      return std::make_unique<SsaMatcher>(ssa_fraction);
-    };
-    Timer run_timer;
-    stats = engine.RunPipelined(*requests, make_matcher,
-                                *serial_check ? &commit_log : nullptr);
-    run_micros = run_timer.ElapsedMicros();
-  } else {
-    Timer run_timer;
-    stats = engine.Run(*requests, matchers);
-    run_micros = run_timer.ElapsedMicros();
-  }
+  Timer run_timer;
+  const RunStats stats =
+      engine.RunPipelined(*requests, make_matcher,
+                          *serial_check ? &commit_log : nullptr,
+                          shadow_matchers);
+  const double run_micros = run_timer.ElapsedMicros();
   if (!trace_out.empty()) obs::TraceRecorder::Global().Stop();
 
   std::printf("\n%-5s %10s %10s %10s %10s %12s %9s %10s %8s\n", "algo",
@@ -409,18 +396,16 @@ int Simulate(const FlagParser& flags) {
                           : 0.0,
                 engine.metrics().Counter("prune/alpha_ppm") / 1e6);
   }
-  if (pipelined) {
-    const double reqs_per_sec =
-        run_micros > 0.0 ? requests->size() / (run_micros / 1e6) : 0.0;
-    std::printf("pipeline: %d thread(s), wave %d, %llu waves, %llu "
-                "conflicts, %llu rematches (%llu serial), %.1f requests/s\n",
-                eopts.engine_threads, engine.ResolvedWaveSize(),
-                static_cast<unsigned long long>(stats.waves),
-                static_cast<unsigned long long>(stats.conflicts),
-                static_cast<unsigned long long>(stats.rematches),
-                static_cast<unsigned long long>(stats.serial_rematches),
-                reqs_per_sec);
-  }
+  const double reqs_per_sec =
+      run_micros > 0.0 ? requests->size() / (run_micros / 1e6) : 0.0;
+  std::printf("pipeline: %d thread(s), wave %d, %llu waves, %llu "
+              "conflicts, %llu rematches (%llu serial), %.1f requests/s\n",
+              eopts.engine_threads, engine.ResolvedWaveSize(),
+              static_cast<unsigned long long>(stats.waves),
+              static_cast<unsigned long long>(stats.conflicts),
+              static_cast<unsigned long long>(stats.rematches),
+              static_cast<unsigned long long>(stats.serial_rematches),
+              reqs_per_sec);
   if (*serial_check) {
     // Canonical serial replay: a fresh engine, same seed and wave
     // structure, one matcher worker. The pipeline's determinism contract
@@ -434,12 +419,9 @@ int Simulate(const FlagParser& flags) {
         return check::MakeFaultHook(fault_plan);
       });
     }
-    const double ssa_fraction = *fraction;
     std::vector<CommitRecord> serial_log;
-    serial_engine.RunPipelined(
-        *requests,
-        [ssa_fraction] { return std::make_unique<SsaMatcher>(ssa_fraction); },
-        &serial_log);
+    serial_engine.RunPipelined(*requests, make_matcher, &serial_log,
+                               shadow_matchers);
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < commit_log.size() || i < serial_log.size();
          ++i) {
