@@ -189,6 +189,7 @@ BenchRow Harness::RunWith(const BenchConfig& cfg, const std::string& label,
   eopts.engine_threads = cfg.threads;
   eopts.wave_size = 1;
   eopts.distance_backend = cfg.distance_backend;
+  eopts.prune = cfg.prune;
   Engine engine(&graph_, &grid, eopts);
   if (obs_ != nullptr && obs_->lifecycle() != nullptr) {
     engine.SetLifecycleRecorder(obs_->lifecycle());
@@ -197,7 +198,7 @@ BenchRow Harness::RunWith(const BenchConfig& cfg, const std::string& label,
   BenchRow row;
   row.label = label;
   row.stats = engine.RunPipelined(
-      *requests, matchers.front(), nullptr,
+      *requests, matchers.front(), &row.commits,
       std::vector<MatcherFactory>(matchers.begin() + 1, matchers.end()));
   row.grid_memory_bytes = grid.MemoryBytes();
   row.tree_memory_bytes = engine.KineticTreeMemoryBytes();

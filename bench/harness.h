@@ -56,11 +56,15 @@ struct BenchConfig {
   /// preprocessing cost per engine and then answers each sweep with bucket
   /// queries instead of a Dijkstra drain.
   DistanceBackend distance_backend = DistanceBackend::kDijkstra;
+  /// Candidate prefilter (EngineOptions::prune), installed in front of
+  /// every matcher slot.
+  PruneMode prune = PruneMode::kNone;
 };
 
 struct BenchRow {
   std::string label;
   RunStats stats;                 ///< Per-matcher aggregates (BA, SSA, DSA).
+  std::vector<CommitRecord> commits;  ///< Slot 0's commits, in id order.
   std::size_t grid_memory_bytes = 0;
   std::size_t tree_memory_bytes = 0;
 };

@@ -1,12 +1,16 @@
 // Options vs. classic dispatch: what does the price-and-time-aware skyline
-// buy riders? Replays the identical demand trace through two systems:
+// buy riders? Compares two systems on the identical demand trace:
 //
 //   classic   every rider is assigned the single system-optimal vehicle
 //             (minimal travel increase — what T-share-style dispatchers do)
 //   options   every rider sees the non-dominated (time, price) skyline and
-//             picks by their own preference (cheapest here)
+//             picks by their own preference
 //
-// and compares rider-facing outcomes: mean fare, mean pickup time, sharing.
+// Under the paper's price model, price = f_n * (travel increase + direct),
+// so the classic assignment is the skyline's cheapest option: one replay
+// of riders choosing the cheapest option stands for both "classic" and
+// "cheap", and a second replay has riders choose the fastest pickup. The
+// rows compare rider-facing outcomes: mean fare and mean pickup time.
 //
 //   $ ./options_vs_classic
 
@@ -15,7 +19,6 @@
 #include "common/stats.h"
 #include "graph/generators.h"
 #include "rideshare/baseline_matcher.h"
-#include "rideshare/classic_dispatcher.h"
 #include "sim/engine.h"
 #include "sim/workload.h"
 
@@ -31,14 +34,14 @@ struct Outcome {
 };
 
 Outcome Replay(const RoadNetwork& graph, const GridIndex& grid,
-               const std::vector<Request>& requests, Matcher* matcher,
-               ChoicePolicy policy) {
+               const std::vector<Request>& requests, ChoicePolicy policy) {
   EngineOptions eopts;
   eopts.num_vehicles = 150;
   eopts.seed = 21;
   eopts.policy = policy;
   Engine engine(&graph, &grid, eopts);
-  std::vector<Matcher*> matchers = {matcher};
+  BaselineMatcher skyline;  // the exact option set
+  std::vector<Matcher*> matchers = {&skyline};
 
   Outcome outcome;
   std::uint64_t served = 0;
@@ -89,26 +92,17 @@ int main() {
   std::printf("replaying %zu requests through both systems...\n\n",
               requests->size());
 
-  ClassicDispatcher classic;
+  // Riders choosing the cheapest option get the classic assignment.
   const Outcome classic_outcome =
-      Replay(*graph, *grid, *requests, &classic, ChoicePolicy::kMinPrice);
-
-  BaselineMatcher skyline;  // exact option set; riders choose cheapest
-  const Outcome cheap_outcome =
-      Replay(*graph, *grid, *requests, &skyline, ChoicePolicy::kMinPrice);
-
-  BaselineMatcher skyline2;  // riders choose fastest pickup instead
+      Replay(*graph, *grid, *requests, ChoicePolicy::kMinPrice);
   const Outcome fast_outcome =
-      Replay(*graph, *grid, *requests, &skyline2, ChoicePolicy::kMinTime);
+      Replay(*graph, *grid, *requests, ChoicePolicy::kMinTime);
 
   Print("classic", classic_outcome);
-  Print("cheap", cheap_outcome);
+  Print("cheap", classic_outcome);
   Print("fast", fast_outcome);
 
-  // Under the paper's price model, price = f_n * (travel increase +
-  // direct), so the classic minimal-increase assignment coincides with the
-  // cheapest option (the first two rows match). What riders gain from the
-  // skyline is the *time* side of the trade-off.
+  // What riders gain from the skyline is the *time* side of the trade-off.
   const double fare_premium =
       fast_outcome.fares.Mean() - classic_outcome.fares.Mean();
   const double p95_saving = classic_outcome.pickup_minutes.Percentile(95) -

@@ -80,9 +80,10 @@ int main() {
   request.epsilon = 0.4;
 
   DistanceOracle match_oracle(&*graph);
+  const RegistrySnapshot snapshot = registry.TakeSnapshot();
   MatchContext ctx;
   ctx.grid = &*grid;
-  ctx.registry = &registry;
+  ctx.snapshot = &snapshot;
   ctx.fleet = &fleet;
   ctx.oracle = &match_oracle;
 

@@ -217,6 +217,7 @@ StatusOr<DifferentialOutcome> RunDifferential(
   eopts.seed = spec.engine_seed;
   eopts.start_vertices = spec.vehicle_starts;
   eopts.distance_backend = config.distance_backend;
+  eopts.prune = config.prune;
   eopts.tree_max_branches = config.tree_max_branches;
   if (config.request_budget > 0) {
     eopts.overload.request_budget = config.request_budget;

@@ -16,6 +16,7 @@
 #include "check/scenario.h"
 #include "graph/distance_oracle.h"
 #include "rideshare/matcher.h"
+#include "sim/engine.h"
 
 namespace ptar::check {
 
@@ -96,6 +97,11 @@ struct DifferentialConfig {
   /// reference share it, so a divergence is always a matcher bug, never a
   /// backend rounding mismatch.
   DistanceBackend distance_backend = DistanceBackend::kDijkstra;
+  /// GeoPrune prefilter for the scenario engine (EngineOptions::prune):
+  /// every tested matcher runs behind it, while the reference never reads
+  /// ctx.prune, so any divergence under kEllipse is a prefilter soundness
+  /// bug (ptar_check --prune_check).
+  PruneMode prune = PruneMode::kNone;
   /// Deterministic work-unit budget armed into every tested matcher's slot
   /// (0 = unlimited). The reference never charges or checks budgets, so it
   /// still produces the full answer; tested results that come back

@@ -7,6 +7,8 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "prune/ellipse_prefilter.h"
+#include "rideshare/baseline_matcher.h"
 #include "rideshare/lemmas.h"
 #include "rideshare/matcher_internal.h"
 #include "rideshare/skyline.h"
@@ -18,6 +20,22 @@ BrokenLemmaMatcher::BrokenLemmaMatcher(int lemma, double inflation)
   PTAR_CHECK(lemma == 1 || lemma == 3 || lemma == 11)
       << "unsupported broken lemma " << lemma;
   PTAR_CHECK(inflation > 1.0);
+}
+
+BrokenPrefilterMatcher::BrokenPrefilterMatcher(double shrink_factor)
+    : shrink_factor_(shrink_factor) {
+  PTAR_CHECK(shrink_factor > 0.0);
+}
+
+MatchResult BrokenPrefilterMatcher::Match(const Request& request,
+                                          MatchContext& ctx) {
+  // Rebuilt per request (O(edges)): the harness's worlds are small, and a
+  // per-call filter can never outlive the graph it borrows.
+  const prune::EllipsePrefilter shrunk = prune::EllipsePrefilter::Build(
+      ctx.grid->graph(), {.shrink_factor = shrink_factor_});
+  MatchContext shrunk_ctx = ctx;
+  shrunk_ctx.prune = &shrunk;
+  return BaselineMatcher().Match(request, shrunk_ctx);
 }
 
 namespace {

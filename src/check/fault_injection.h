@@ -8,6 +8,10 @@
 // network's distance/lower-bound ratio the "bound" exceeds true distances,
 // the lemma prunes options the reference keeps, and the harness must
 // report missing-option divergences attributed to that lemma's counter.
+// BrokenPrefilterMatcher is the same bug class one stage earlier: BA behind
+// a GeoPrune prefilter whose Euclidean bound is inflated past the network
+// distance (the ShrinkEllipse fault), caught and attributed through the
+// ellipse_pruned counter.
 
 // FaultPlan / MakeFaultHook extend the same philosophy to the substrate:
 // a declarative description of distance-oracle misbehavior (failing pairs,
@@ -50,6 +54,20 @@ class BrokenLemmaMatcher : public Matcher {
  private:
   int lemma_;
   double inflation_;
+};
+
+class BrokenPrefilterMatcher : public Matcher {
+ public:
+  /// Runs BA with ctx.prune replaced by a prefilter built with
+  /// EllipsePrefilter::Options::shrink_factor = `shrink_factor`; factors
+  /// below 1 make the prefilter unsound.
+  explicit BrokenPrefilterMatcher(double shrink_factor);
+
+  std::string name() const override { return "BA+SHRUNK-EL"; }
+  MatchResult Match(const Request& request, MatchContext& ctx) override;
+
+ private:
+  double shrink_factor_;
 };
 
 /// Declarative oracle-fault description, parsed from the `--inject` flag

@@ -141,9 +141,9 @@ class VehicleRegistry {
 
   /// Aggregates for the cell-level pruning lemmas; rebuilt lazily.
   ///
-  /// The lazy rebuild writes through `mutable` members, so concurrent
-  /// readers (parallel shadow matchers) must call RebuildDirtyAggregates()
-  /// first; afterwards this is a pure read until the next mutation.
+  /// The lazy rebuild writes through `mutable` members, so this live read
+  /// is single-threaded; matchers read a TakeSnapshot() view instead, whose
+  /// aggregates are rebuilt at capture.
   const CellAggregates& Aggregates(CellId cell) const;
 
   /// Eagerly rebuilds every dirty cell's aggregates. Aggregate values only

@@ -1,5 +1,6 @@
 #include "prune/ellipse_prefilter.h"
 
+#include <cmath>
 #include <limits>
 
 namespace ptar::prune {
@@ -17,7 +18,6 @@ EllipsePrefilter EllipsePrefilter::Build(const RoadNetwork& graph,
                                          const Options& opts) {
   EllipsePrefilter filter;
   filter.graph_ = &graph;
-  filter.shrink_ = opts.shrink_factor;
 
   double alpha = std::numeric_limits<double>::infinity();
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
@@ -31,16 +31,6 @@ EllipsePrefilter EllipsePrefilter::Build(const RoadNetwork& graph,
   filter.alpha_ = alpha;
   filter.scale_ = alpha * (1.0 - kCalibrationShave) / opts.shrink_factor;
   return filter;
-}
-
-Ellipse EllipsePrefilter::FeasibleEllipse(VertexId a, VertexId b,
-                                          Distance max_sum) const {
-  Ellipse e;
-  e.f1 = graph_->position(a);
-  e.f2 = graph_->position(b);
-  e.sum_bound = scale_ > 0.0 ? max_sum / scale_
-                             : std::numeric_limits<double>::infinity();
-  return e;
 }
 
 }  // namespace ptar::prune

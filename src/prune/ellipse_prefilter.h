@@ -19,7 +19,6 @@
 
 #include "graph/road_network.h"
 #include "graph/types.h"
-#include "prune/ellipse.h"
 
 namespace ptar::prune {
 
@@ -29,8 +28,8 @@ class EllipsePrefilter {
     /// ShrinkEllipse fault seam: factors < 1 under-size every feasibility
     /// ellipse (equivalently, inflate LowerBound by 1/shrink_factor),
     /// deliberately making the filter unsound so the differential harness
-    /// can prove it detects and attributes a miscalibrated bound. 1.0 is
-    /// the only sound setting.
+    /// can prove it detects and attributes a miscalibrated bound
+    /// (check::BrokenPrefilterMatcher). 1.0 is the only sound setting.
     double shrink_factor = 1.0;
   };
 
@@ -53,30 +52,18 @@ class EllipsePrefilter {
 
   /// LowerBound(a,via) + LowerBound(via,b): the scaled focal sum. A value
   /// above `budget` (plus tolerance) proves no route a -> via -> b fits in
-  /// `budget` — this is exactly containment of via in FeasibleEllipse(a, b,
-  /// budget), in the form the lemma predicates consume.
+  /// `budget` — containment of via in the detour ellipse with foci a and b,
+  /// in the form the lemma predicates consume.
   Distance DetourLowerBound(VertexId a, VertexId via, VertexId b) const {
     return LowerBound(a, via) + LowerBound(via, b);
   }
 
-  /// The feasible-detour ellipse admitting network routes a -> p -> b of
-  /// length <= max_sum, in raw coordinate space: containment of
-  /// position(p) is necessary for dist(a,p) + dist(p,b) <= max_sum.
-  /// Exposed for the ablation suite and property tests; the matcher
-  /// integration uses DetourLowerBound directly (same predicate, no
-  /// division). An uncalibrated graph (scale 0) yields an all-containing
-  /// ellipse.
-  Ellipse FeasibleEllipse(VertexId a, VertexId b, Distance max_sum) const;
-
   double alpha() const { return alpha_; }
-  double shrink_factor() const { return shrink_; }
-  const RoadNetwork& graph() const { return *graph_; }
 
  private:
   const RoadNetwork* graph_ = nullptr;
-  double alpha_ = 0.0;   ///< min weight / chord over edges, pre-shave
-  double shrink_ = 1.0;  ///< Options::shrink_factor as built
-  double scale_ = 0.0;   ///< alpha * (1 - shave) / shrink_factor
+  double alpha_ = 0.0;  ///< min weight / chord over edges, pre-shave
+  double scale_ = 0.0;  ///< alpha * (1 - shave) / shrink_factor
 };
 
 }  // namespace ptar::prune

@@ -52,49 +52,35 @@ MatchResult BaselineMatcher::Match(const Request& request, MatchContext& ctx) {
   bool complete = true;
   {
     PTAR_TRACE_SPAN("verify");
-    if (ctx.prune != nullptr) {
-      // GeoPrune path: boardable empties first, tightest lower bound
-      // leading, so the verify-time dominance check sees a seeded skyline
-      // for the rest of the fleet. Ordering never changes the final
-      // skyline — each verification is pure per vehicle and pruning
-      // removes only dominated candidates.
-      internal::OrderEmptiesForVerification(env, ctx, &batch_empty);
-      for (const VehicleId v : batch_empty) {
-        if (internal::BudgetExhausted(ctx)) {
-          complete = false;
-          break;
-        }
-        internal::VerifyEmptyVehicle((*ctx.fleet)[v], env, ctx, skyline,
-                                     stats);
+    // Boardable empties first — under GeoPrune tightest lower bound
+    // leading, so the verify-time dominance check sees a seeded skyline
+    // for the rest of the fleet. Without a budget the order never changes
+    // the skyline: each verification is pure per vehicle, the skyline keeps
+    // the non-dominated set whatever the insertion order, and pruning
+    // removes only dominated candidates.
+    internal::OrderEmptiesForVerification(env, ctx, &batch_empty);
+    for (const VehicleId v : batch_empty) {
+      if (internal::BudgetExhausted(ctx)) {
+        complete = false;
+        break;
       }
-      for (KineticTree& tree : *ctx.fleet) {
-        if (!complete || internal::BudgetExhausted(ctx)) {
-          complete = false;
-          break;
-        }
-        if (tree.IsEmpty()) {
-          // Boardable empties were verified above; the non-boardable rest
-          // still pass through VerifyEmptyVehicle so verified accounting
-          // matches the unpruned scan.
-          if (tree.capacity() >= request.riders) continue;
-          internal::VerifyEmptyVehicle(tree, env, ctx, skyline, stats);
-        } else {
-          internal::VerifyNonEmptyVehicle(tree, env, ctx, hooks, skyline,
-                                          stats);
-        }
+      internal::VerifyEmptyVehicle((*ctx.fleet)[v], env, ctx, skyline,
+                                   stats);
+    }
+    for (KineticTree& tree : *ctx.fleet) {
+      if (!complete || internal::BudgetExhausted(ctx)) {
+        complete = false;
+        break;
       }
-    } else {
-      for (KineticTree& tree : *ctx.fleet) {
-        if (internal::BudgetExhausted(ctx)) {
-          complete = false;
-          break;
-        }
-        if (tree.IsEmpty()) {
-          internal::VerifyEmptyVehicle(tree, env, ctx, skyline, stats);
-        } else {
-          internal::VerifyNonEmptyVehicle(tree, env, ctx, hooks, skyline,
-                                          stats);
-        }
+      if (tree.IsEmpty()) {
+        // Boardable empties were verified above; the non-boardable rest
+        // still pass through VerifyEmptyVehicle so every vehicle counts as
+        // verified.
+        if (tree.capacity() >= request.riders) continue;
+        internal::VerifyEmptyVehicle(tree, env, ctx, skyline, stats);
+      } else {
+        internal::VerifyNonEmptyVehicle(tree, env, ctx, hooks, skyline,
+                                        stats);
       }
     }
   }

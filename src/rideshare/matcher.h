@@ -92,7 +92,6 @@ struct MatchResult {
 /// preserving operation shared by all matchers).
 struct MatchContext {
   const GridIndex* grid = nullptr;
-  VehicleRegistry* registry = nullptr;
   std::vector<KineticTree>* fleet = nullptr;  ///< Indexed by VehicleId.
   DistanceOracle* oracle = nullptr;
   PriceModel price_model;
@@ -101,42 +100,19 @@ struct MatchContext {
   /// result `complete = false` when it stops early. The budget is owned by
   /// the caller and is not shared across concurrently-running matchers.
   WorkBudget* budget = nullptr;
-  /// Optional frozen registry view (request-parallel engine). When set, all
-  /// registry reads go through the snapshot instead of the live registry,
-  /// so concurrent matcher workers see one consistent fleet view while the
-  /// engine keeps the live registry for commits. The live `registry`
-  /// pointer stays non-null either way (tree verification repairs still
-  /// target live fleet state).
+  /// Frozen registry view (VehicleRegistry::TakeSnapshot), the only
+  /// registry state a matcher reads. Concurrent matcher workers share one
+  /// consistent fleet view while the engine keeps the live registry for
+  /// commits; tree verification repairs still target the live `fleet`.
   const RegistrySnapshot* snapshot = nullptr;
-  /// Optional GeoPrune prefilter (src/prune). When set, matchers interleave
+  /// Optional GeoPrune prefilter (src/prune), installed by the engine when
+  /// EngineOptions::prune is kEllipse. When set, matchers interleave
   /// calibrated-Euclidean ellipse checks with the grid lower bounds: the
   /// same lemma predicates evaluated on a second, per-pair-tight lower
   /// bound. Lossless by construction — the differential harness's
-  /// --prune_check mode asserts pruned and unpruned skylines are identical.
+  /// --prune_check mode asserts pruned skylines equal the reference's.
   const prune::EllipsePrefilter* prune = nullptr;
 };
-
-/// Registry reads routed through the snapshot when one is installed.
-/// Matchers must use these instead of touching ctx.registry directly, so
-/// the same matcher code serves both the serial engine (live registry) and
-/// the parallel pipeline (frozen snapshot).
-inline std::span<const VehicleId> CtxEmptyVehicles(const MatchContext& ctx,
-                                                   CellId cell) {
-  return ctx.snapshot != nullptr ? ctx.snapshot->EmptyVehicles(cell)
-                                 : ctx.registry->EmptyVehicles(cell);
-}
-
-inline std::span<const KineticEdgeEntry> CtxNonEmptyEntries(
-    const MatchContext& ctx, CellId cell) {
-  return ctx.snapshot != nullptr ? ctx.snapshot->NonEmptyEntries(cell)
-                                 : ctx.registry->NonEmptyEntries(cell);
-}
-
-inline const CellAggregates& CtxAggregates(const MatchContext& ctx,
-                                           CellId cell) {
-  return ctx.snapshot != nullptr ? ctx.snapshot->Aggregates(cell)
-                                 : ctx.registry->Aggregates(cell);
-}
 
 /// Which lemma families an index-based matcher applies. Used by the
 /// ablation bench to quantify each family's contribution; production use

@@ -284,7 +284,7 @@ std::size_t AppendBoardableEmpties(CellId cell, const RequestEnv& env,
                                    std::span<const char> emitted,
                                    std::vector<VehicleId>* out) {
   std::size_t capacity_skipped = 0;
-  for (const VehicleId v : CtxEmptyVehicles(ctx, cell)) {
+  for (const VehicleId v : ctx.snapshot->EmptyVehicles(cell)) {
     if (!emitted.empty() && emitted[v]) continue;
     // Capacity constraint (Definition 2): skip vehicles the group cannot
     // board at all.
@@ -323,7 +323,7 @@ void CollectEmptyCandidates(CellId cell, const RequestEnv& env,
                             MatchContext& ctx, const SkylineSet& skyline,
                             std::vector<char>& emitted, MatchStats& stats,
                             std::vector<VehicleId>* out) {
-  const std::span<const VehicleId> list = CtxEmptyVehicles(ctx, cell);
+  const std::span<const VehicleId> list = ctx.snapshot->EmptyVehicles(cell);
   if (list.empty()) return;
   const VertexId s = env.request->start;
   // Lemma 2: prune the whole empty-vehicle list of the cell.
@@ -369,7 +369,7 @@ void CollectStartCandidates(CellId cell, const RequestEnv& env,
                             MatchContext& ctx, const SkylineSet& skyline,
                             std::vector<char>& emitted, MatchStats& stats,
                             std::vector<VehicleId>* out) {
-  const CellAggregates& agg = CtxAggregates(ctx, cell);
+  const CellAggregates& agg = ctx.snapshot->Aggregates(cell);
   if (!agg.any) return;
   const VertexId s = env.request->start;
   const int riders = env.request->riders;
@@ -391,7 +391,7 @@ void CollectStartCandidates(CellId cell, const RequestEnv& env,
     ++stats.lemma_hits[4];
     return;
   }
-  for (const KineticEdgeEntry& entry : CtxNonEmptyEntries(ctx, cell)) {
+  for (const KineticEdgeEntry& entry : ctx.snapshot->NonEmptyEntries(cell)) {
     if (emitted[entry.vehicle]) continue;
     const Distance l_ox = ctx.grid->LowerBound(s, entry.ox);
     const Distance l_oy =
@@ -446,7 +446,7 @@ void CollectDestCandidates(CellId cell, const RequestEnv& env,
                            MatchContext& ctx, const SkylineSet& skyline,
                            std::vector<char>& emitted, MatchStats& stats,
                            std::vector<VehicleId>* out) {
-  const CellAggregates& agg = CtxAggregates(ctx, cell);
+  const CellAggregates& agg = ctx.snapshot->Aggregates(cell);
   if (!agg.any) return;
   const VertexId d = env.request->destination;
   const int riders = env.request->riders;
@@ -469,7 +469,7 @@ void CollectDestCandidates(CellId cell, const RequestEnv& env,
     ++stats.lemma_hits[10];
     return;
   }
-  for (const KineticEdgeEntry& entry : CtxNonEmptyEntries(ctx, cell)) {
+  for (const KineticEdgeEntry& entry : ctx.snapshot->NonEmptyEntries(cell)) {
     if (emitted[entry.vehicle]) continue;
     const Distance l_ox = ctx.grid->LowerBound(d, entry.ox);
     const Distance l_oy =

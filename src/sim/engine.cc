@@ -29,7 +29,7 @@ std::unique_ptr<CHGraph> Engine::MaybeBuildCH(const RoadNetwork* graph,
 }
 
 bool ParsePruneMode(const std::string& text, PruneMode* out) {
-  if (text.empty() || text == "none") {
+  if (text == "none") {
     *out = PruneMode::kNone;
     return true;
   }

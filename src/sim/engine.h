@@ -276,7 +276,8 @@ class Engine {
 
   /// Unified run metrics (DESIGN.md §9): wave phase histograms
   /// ("pipeline/..."), per-slot per-request distributions
-  /// ("matcher/<name>/..."), oracle batching counters (committing slot:
+  /// ("matcher/<name>/...", "matcher/<name>#k/..." for the k-th slot of one
+  /// name), oracle batching counters (committing slot:
   /// "pipeline/match/batch/...", shadow slots: "matcher/<name>/batch/..."),
   /// GeoPrune and kinetic-tree cap counters ("prune/...", "tree/..."), and
   /// thread-pool queue stats ("pool/..."). Accumulates across calls. Names

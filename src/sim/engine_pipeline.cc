@@ -195,6 +195,9 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
     obs::LatencyHistogram* options;
   };
   std::vector<SlotHists> slot_hists;
+  // "matcher/<name>" per slot; the k-th slot of one name is "<name>#k", so
+  // same-named slots (SSA(1.0) beside SSA(0.16)) keep separate metrics.
+  std::vector<std::string> slot_keys;
   obs::LatencyHistogram* queue_depth;
   obs::LatencyHistogram* wave_advance_us;
   obs::LatencyHistogram* wave_match_us;
@@ -205,7 +208,14 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
     std::lock_guard<std::mutex> setup_guard(quiesce_mu_);
     for (std::size_t s = 0; s < num_slots; ++s) {
       stats.matchers[s].name = matchers[0][s]->name();
-      const std::string base = "matcher/" + stats.matchers[s].name;
+      const std::string& name = stats.matchers[s].name;
+      const auto repeats = std::count_if(
+          stats.matchers.begin(), stats.matchers.begin() + s,
+          [&](const MatcherAggregate& m) { return m.name == name; });
+      slot_keys.push_back("matcher/" + name +
+                          (repeats > 0 ? "#" + std::to_string(repeats + 1)
+                                       : ""));
+      const std::string& base = slot_keys.back();
       slot_hists.push_back({&metrics_.Histogram(base + "/latency_us"),
                             &metrics_.Histogram(base + "/compdists"),
                             &metrics_.Histogram(base + "/options")});
@@ -250,7 +260,6 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
     SlotCtx& slot = wctx.slots[s];
     MatchContext ctx;
     ctx.grid = grid_;
-    ctx.registry = &registry_;
     ctx.fleet = &fleet_;
     ctx.oracle = slot.oracle.get();
     ctx.price_model = PriceModel{};
@@ -571,12 +580,12 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
   // Oracle batching stats: the committing slot's workers merge into ONE
   // key (the sum over requests is identical at every thread count: each
   // request's match work is deterministic and worker assignment only
-  // partitions it), each shadow slot's into its matcher's key.
+  // partitions it), each shadow slot's into its slot key.
   for (WorkerCtx& wctx : worker_ctxs) {
     for (std::size_t s = 0; s < num_slots; ++s) {
       metrics_.MergeBatchStats(
           s == 0 ? std::string("pipeline/match/batch")
-                 : "matcher/" + stats.matchers[s].name + "/batch",
+                 : slot_keys[s] + "/batch",
           wctx.slots[s].oracle->batch_stats());
     }
   }

@@ -251,17 +251,27 @@ TEST_F(ConflictScenarioTest, ShadowSlotsRunOnRoundZeroOnly) {
   eopts.wave_size = 2;
   eopts.audit_after_commit = false;
   Engine engine(world_.graph.get(), world_.grid.get(), eopts);
+  // A second SSA slot at another fraction shares slot 0's matcher name.
   const RunStats stats = engine.RunPipelined(
       requests_, SsaFactory(), nullptr,
-      {[] { return std::make_unique<BaselineMatcher>(); }});
+      {[] { return std::make_unique<BaselineMatcher>(); },
+       testing::FactoryOf<SsaMatcher>(0.16)});
   ASSERT_EQ(stats.rematches, 1u);
-  ASSERT_EQ(stats.matchers.size(), 2u);
+  ASSERT_EQ(stats.matchers.size(), 3u);
   // Both requests were measured once in every slot: the loser's re-match
   // runs slot 0 alone.
-  EXPECT_EQ(stats.matchers[0].requests, 2u);
-  EXPECT_EQ(stats.matchers[1].requests, 2u);
+  for (const MatcherAggregate& agg : stats.matchers) {
+    EXPECT_EQ(agg.requests, 2u) << agg.name;
+  }
   EXPECT_EQ(engine.metrics().FindHistogram("matcher/BA/compdists")->count(),
             2u);
+  // Same-named slots keep separate per-slot metrics.
+  for (const char* name : {"matcher/SSA/options", "matcher/SSA#2/options"}) {
+    const obs::LatencyHistogram* options =
+        engine.metrics().FindHistogram(name);
+    ASSERT_NE(options, nullptr) << name;
+    EXPECT_EQ(options->count(), 2u) << name;
+  }
 }
 
 TEST_F(ConflictScenarioTest, ExhaustedRematchBoundFallsBackToSerialTail) {

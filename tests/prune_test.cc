@@ -1,27 +1,22 @@
-// GeoPrune property tests: ellipse-containment axioms, a brute-force fuzz
-// of the fast-reject containment predicate, calibration soundness of the
-// Euclidean lower bound against exact shortest paths, candidate-enumeration
-// parity between the matchers and the grid-scan ladder, and end-to-end
-// prune-soundness (pruned and unpruned skylines must be identical — and a
-// deliberately shrunk ellipse must diverge and be attributed to the prune
-// stage). Registered under the compound `prune-tsan` CTest label.
+// GeoPrune property tests: calibration soundness of the Euclidean lower
+// bound against exact shortest paths, candidate-enumeration parity between
+// the matchers and the grid-scan ladder, and end-to-end prune soundness
+// (BA/SSA/DSA behind the engine's prefilter must match the unpruned
+// reference — and the ShrinkEllipse fault matcher must diverge and be
+// attributed to the prune stage). Registered under the compound
+// `prune-tsan` CTest label.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 #include <vector>
 
 #include "check/differential.h"
-#include "common/random.h"
+#include "check/fault_injection.h"
 #include "graph/generators.h"
 #include "grid/grid_index.h"
-#include "prune/ellipse.h"
 #include "prune/ellipse_prefilter.h"
 #include "rideshare/baseline_matcher.h"
-#include "rideshare/dsa_matcher.h"
-#include "rideshare/ellipse_matcher.h"
 #include "rideshare/matcher_internal.h"
 #include "rideshare/ssa_matcher.h"
 #include "sim/engine.h"
@@ -31,107 +26,7 @@
 namespace ptar {
 namespace {
 
-using prune::Contains;
-using prune::Ellipse;
 using prune::EllipsePrefilter;
-using prune::EuclideanDistance;
-using prune::FocalDistance;
-using prune::FocalSum;
-using prune::IsEmpty;
-using prune::kContainmentTolerance;
-
-constexpr double kTol = kContainmentTolerance;
-
-// ---------------------------------------------------------------------------
-// Containment axioms (pure geometry).
-
-TEST(EllipseTest, FociAreSymmetric) {
-  const Ellipse e{{10.0, 20.0}, {110.0, -40.0}, 150.0};
-  const Ellipse swapped{e.f2, e.f1, e.sum_bound};
-  Rng rng(11);
-  for (int i = 0; i < 1000; ++i) {
-    const Coord p{rng.UniformReal(-200.0, 300.0),
-                  rng.UniformReal(-200.0, 300.0)};
-    EXPECT_EQ(Contains(e, p), Contains(swapped, p));
-    EXPECT_DOUBLE_EQ(FocalSum(e, p), FocalSum(swapped, p));
-  }
-}
-
-TEST(EllipseTest, ContainmentIsMonotoneInSlack) {
-  // Growing sum_bound never evicts a point: the feasible set is nested in
-  // the detour allowance, which is what lets the matcher check the
-  // tightest bound first.
-  Rng rng(13);
-  for (int i = 0; i < 1000; ++i) {
-    Ellipse e{{rng.UniformReal(0.0, 100.0), rng.UniformReal(0.0, 100.0)},
-              {rng.UniformReal(0.0, 100.0), rng.UniformReal(0.0, 100.0)},
-              rng.UniformReal(0.0, 300.0)};
-    const Coord p{rng.UniformReal(-100.0, 200.0),
-                  rng.UniformReal(-100.0, 200.0)};
-    if (!Contains(e, p)) continue;
-    e.sum_bound += rng.UniformReal(0.0, 100.0);
-    EXPECT_TRUE(Contains(e, p));
-  }
-}
-
-TEST(EllipseTest, BoundaryPointsAreInsideWithinTolerance) {
-  // Foci (0,0) and (100,0), bound 140: the major axis crosses x = 120
-  // exactly on the boundary (focal sum 120 + 20 = 140).
-  const Ellipse e{{0.0, 0.0}, {100.0, 0.0}, 140.0};
-  EXPECT_TRUE(Contains(e, Coord{120.0, 0.0}));
-  EXPECT_TRUE(Contains(e, Coord{-20.0, 0.0}));
-  // Both foci are always inside a non-empty ellipse.
-  EXPECT_TRUE(Contains(e, e.f1));
-  EXPECT_TRUE(Contains(e, e.f2));
-  // Beyond the tolerance cushion the point is out.
-  EXPECT_FALSE(Contains(e, Coord{120.001, 0.0}));
-}
-
-TEST(EllipseTest, FuzzContainsAgreesWithBruteForceFocalSum) {
-  // The fast-reject in Contains (bail on |p-f1| alone) must be invisible:
-  // 10k random (ellipse, point) pairs against the unshortcut definition.
-  Rng rng(17);
-  for (int i = 0; i < 10000; ++i) {
-    const Ellipse e{{rng.UniformReal(-500.0, 500.0),
-                     rng.UniformReal(-500.0, 500.0)},
-                    {rng.UniformReal(-500.0, 500.0),
-                     rng.UniformReal(-500.0, 500.0)},
-                    rng.UniformReal(0.0, 1500.0)};
-    const Coord p{rng.UniformReal(-1000.0, 1000.0),
-                  rng.UniformReal(-1000.0, 1000.0)};
-    const bool brute = FocalSum(e, p) <= e.sum_bound + kTol;
-    EXPECT_EQ(Contains(e, p), brute)
-        << "focal sum " << FocalSum(e, p) << " vs bound " << e.sum_bound;
-  }
-}
-
-TEST(EllipseTest, CoincidentFociGiveDisc) {
-  // src == dst degenerates to a disc of radius sum_bound / 2.
-  const Ellipse disc{{50.0, 50.0}, {50.0, 50.0}, 10.0};
-  EXPECT_FALSE(IsEmpty(disc));
-  EXPECT_TRUE(Contains(disc, Coord{50.0, 54.9}));
-  EXPECT_TRUE(Contains(disc, Coord{55.0, 50.0}));  // boundary
-  EXPECT_FALSE(Contains(disc, Coord{50.0, 55.1}));
-}
-
-TEST(EllipseTest, ZeroSlackGivesFocalSegment) {
-  // sum_bound == |f1 - f2|: exactly the segment between the foci survives.
-  const Ellipse seg{{0.0, 0.0}, {100.0, 0.0}, 100.0};
-  EXPECT_FALSE(IsEmpty(seg));
-  EXPECT_TRUE(Contains(seg, Coord{0.0, 0.0}));
-  EXPECT_TRUE(Contains(seg, Coord{50.0, 0.0}));
-  EXPECT_TRUE(Contains(seg, Coord{100.0, 0.0}));
-  EXPECT_FALSE(Contains(seg, Coord{50.0, 1.0}));
-  EXPECT_FALSE(Contains(seg, Coord{-1.0, 0.0}));
-}
-
-TEST(EllipseTest, SubFocalBoundIsEmpty) {
-  const Ellipse empty{{0.0, 0.0}, {100.0, 0.0}, 99.0};
-  EXPECT_TRUE(IsEmpty(empty));
-  // No point can have a focal sum below the focal distance.
-  EXPECT_FALSE(Contains(empty, Coord{50.0, 0.0}));
-  EXPECT_FALSE(Contains(empty, empty.f1));
-}
 
 // ---------------------------------------------------------------------------
 // Calibration soundness: alpha * euc must never exceed the true network
@@ -170,32 +65,6 @@ TEST(EllipsePrefilterTest, LowerBoundNeverExceedsNetworkDistanceOnRandom) {
   }
 }
 
-TEST(EllipsePrefilterTest, FeasibleEllipseMatchesDetourLowerBound) {
-  // Containment of position(via) in FeasibleEllipse(a, b, B) must be the
-  // same predicate as DetourLowerBound(a, via, b) <= B — the matcher uses
-  // the latter form, the ablation suite the former.
-  const RoadNetwork g = testing::MakeRandomConnectedGraph(30, 20, 99);
-  const EllipsePrefilter filter = EllipsePrefilter::Build(g);
-  ASSERT_GT(filter.alpha(), 0.0);
-  Rng rng(5);
-  for (int i = 0; i < 2000; ++i) {
-    const auto a = static_cast<VertexId>(rng.UniformIndex(g.num_vertices()));
-    const auto b = static_cast<VertexId>(rng.UniformIndex(g.num_vertices()));
-    const auto via =
-        static_cast<VertexId>(rng.UniformIndex(g.num_vertices()));
-    const double budget = rng.UniformReal(0.0, 2000.0);
-    const Ellipse e = filter.FeasibleEllipse(a, b, budget);
-    // The ellipse lives in raw coordinate space with the budget divided by
-    // the calibration scale; tolerance scales the same way.
-    const bool by_ellipse = Contains(e, g.position(via), kTol);
-    const bool by_bound =
-        filter.DetourLowerBound(a, via, b) <=
-        budget + kTol * (filter.alpha() / filter.shrink_factor());
-    EXPECT_EQ(by_ellipse, by_bound) << "a=" << a << " b=" << b
-                                    << " via=" << via;
-  }
-}
-
 TEST(EllipsePrefilterTest, ShrinkFactorInflatesTheBound) {
   const RoadNetwork g = testing::MakeRandomConnectedGraph(20, 10, 7);
   EllipsePrefilter::Options shrunk;
@@ -221,15 +90,12 @@ TEST(EllipsePrefilterTest, DegenerateGraphDisablesFilterSoundly) {
   const EllipsePrefilter filter = EllipsePrefilter::Build(g.value());
   EXPECT_EQ(filter.alpha(), 0.0);
   EXPECT_EQ(filter.LowerBound(0, 1), 0.0);
-  const Ellipse e = filter.FeasibleEllipse(0, 1, 10.0);
-  EXPECT_FALSE(IsEmpty(e));
-  EXPECT_TRUE(Contains(e, Coord{1e9, -1e9}));  // all-containing
 }
 
 // ---------------------------------------------------------------------------
 // Candidate-enumeration parity: the matchers' empty-vehicle base set and
 // the grid-scan ladder must come from the same helper, so the helper must
-// agree exactly with the spelled-out capacity filter on live fleet state.
+// agree exactly with the spelled-out capacity filter on a registry snapshot.
 
 struct Scenario {
   RoadNetwork graph;
@@ -272,9 +138,10 @@ TEST(CandidateParityTest, HelperMatchesManualCapacityFilterAcross20Seeds) {
     std::vector<Matcher*> matchers = {&ssa};
 
     for (const Request& request : sc.requests) {
+      const RegistrySnapshot snapshot = engine.registry().TakeSnapshot();
       MatchContext ctx;
       ctx.grid = sc.grid.get();
-      ctx.registry = &engine.registry();
+      ctx.snapshot = &snapshot;
       ctx.fleet = &engine.fleet();
       internal::RequestEnv env;
       env.request = &request;
@@ -284,7 +151,7 @@ TEST(CandidateParityTest, HelperMatchesManualCapacityFilterAcross20Seeds) {
       for (const CellId cell : sc.grid->active_cells()) {
         std::vector<VehicleId> manual;
         std::size_t manual_skipped = 0;
-        for (const VehicleId v : CtxEmptyVehicles(ctx, cell)) {
+        for (const VehicleId v : ctx.snapshot->EmptyVehicles(cell)) {
           if (emitted[v]) continue;
           if ((*ctx.fleet)[v].capacity() < request.riders) {
             ++manual_skipped;
@@ -302,7 +169,7 @@ TEST(CandidateParityTest, HelperMatchesManualCapacityFilterAcross20Seeds) {
         std::vector<VehicleId> no_dedup;
         internal::AppendBoardableEmpties(cell, env, ctx, {}, &no_dedup);
         std::vector<VehicleId> manual_all;
-        for (const VehicleId v : CtxEmptyVehicles(ctx, cell)) {
+        for (const VehicleId v : ctx.snapshot->EmptyVehicles(cell)) {
           if ((*ctx.fleet)[v].capacity() >= request.riders) {
             manual_all.push_back(v);
           }
@@ -317,30 +184,14 @@ TEST(CandidateParityTest, HelperMatchesManualCapacityFilterAcross20Seeds) {
 // ---------------------------------------------------------------------------
 // End-to-end prune soundness via the differential harness.
 
-check::MatcherFactory PrunedFactory(double shrink_factor) {
-  return [shrink_factor] {
-    EllipsePrefilter::Options popts;
-    popts.shrink_factor = shrink_factor;
-    std::vector<std::unique_ptr<Matcher>> matchers;
-    matchers.push_back(std::make_unique<BaselineMatcher>());
-    matchers.push_back(std::make_unique<PrunedMatcher>(
-        std::make_unique<BaselineMatcher>(), popts));
-    matchers.push_back(std::make_unique<PrunedMatcher>(
-        std::make_unique<SsaMatcher>(1.0), popts));
-    matchers.push_back(std::make_unique<PrunedMatcher>(
-        std::make_unique<DsaMatcher>(1.0), popts));
-    matchers.push_back(std::make_unique<EllipseMatcher>(popts));
-    return matchers;
-  };
-}
-
 TEST(PruneSoundnessTest, PrunedSkylinesMatchUnprunedReference) {
-  const check::DifferentialConfig config;
-  const check::MatcherFactory factory = PrunedFactory(1.0);
+  // BA/SSA/DSA behind the engine's prefilter; the reference never prunes.
+  check::DifferentialConfig config;
+  config.prune = PruneMode::kEllipse;
   std::uint64_t ellipse_checked = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const check::ScenarioSpec spec = check::MakeRandomSpec(seed);
-    auto outcome = check::RunDifferential(spec, config, factory);
+    auto outcome = check::RunDifferential(spec, config);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     for (const check::Divergence& d : outcome.value().divergences) {
       ADD_FAILURE() << "seed " << seed << ": " << d.Describe();
@@ -358,7 +209,12 @@ TEST(PruneSoundnessTest, ShrunkEllipseIsCaughtAndAttributed) {
   // distance, so options go missing — and the divergence must carry the
   // ellipse_pruned counter that pins the loss on the prune stage.
   const check::DifferentialConfig config;
-  const check::MatcherFactory factory = PrunedFactory(0.5);
+  const check::MatcherFactory factory = [] {
+    std::vector<std::unique_ptr<Matcher>> matchers;
+    matchers.push_back(std::make_unique<BaselineMatcher>());
+    matchers.push_back(std::make_unique<check::BrokenPrefilterMatcher>(0.5));
+    return matchers;
+  };
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const check::ScenarioSpec spec = check::MakeRandomSpec(seed);
     auto outcome = check::RunDifferential(spec, config, factory);

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,11 +31,7 @@
 #include "check/tree_twin.h"
 #include "common/flags.h"
 #include "obs/report.h"
-#include "prune/ellipse_prefilter.h"
 #include "rideshare/baseline_matcher.h"
-#include "rideshare/dsa_matcher.h"
-#include "rideshare/ellipse_matcher.h"
-#include "rideshare/ssa_matcher.h"
 
 namespace ptar::check {
 namespace {
@@ -81,19 +78,19 @@ int Help() {
       "  --broken_lemma=N  which lemma the selftest sabotages (default 3)\n"
       "  --report_out=FILE versioned JSON run report (schema v2, "
       "\"differential\" counters)\n"
-      "  --prune_check     prune-soundness mode: run BA/SSA/DSA with and\n"
-      "                    without the GeoPrune ellipse prefilter (plus the\n"
-      "                    standalone ELLIPSE matcher) against the\n"
-      "                    reference; any skyline difference between pruned\n"
-      "                    and unpruned twins fails the sweep\n"
+      "  --prune_check     prune-soundness mode: run BA/SSA/DSA behind the\n"
+      "                    GeoPrune ellipse prefilter (engine option\n"
+      "                    prune=ellipse) against the unpruned reference;\n"
+      "                    any skyline difference fails the sweep\n"
       "  --corpus_dir=DIR  with --prune_check: first replay every .replay\n"
       "                    file in DIR (the saved regression corpus) under\n"
-      "                    the pruned matcher set, then fuzz --seeds\n"
+      "                    the prefilter, then fuzz --seeds\n"
       "  --shrink_ellipse=F  with --prune_check: ShrinkEllipse fault\n"
-      "                    selftest — under-size every ellipse by factor F\n"
-      "                    in (0, 1) and demand the harness catch the\n"
-      "                    resulting missing options and attribute them to\n"
-      "                    the prune stage (default 1 = sound, no fault)\n"
+      "                    selftest — BA against BA behind a prefilter\n"
+      "                    whose ellipses are under-sized by factor F in\n"
+      "                    (0, 1); the harness must catch the resulting\n"
+      "                    missing options and attribute them to the prune\n"
+      "                    stage (default 1 = sound, no fault)\n"
       "  --distance_backend=NAME  oracle backend for every engine in the\n"
       "                    run: dijkstra (default) or ch\n"
       "  --request_budget=N  deterministic work-unit budget per tested\n"
@@ -198,11 +195,10 @@ void PrintDivergences(const DifferentialOutcome& outcome, std::size_t limit) {
 
 /// Shrinks a failing spec and writes the repro; prints the reduction.
 int ShrinkAndSave(const ScenarioSpec& spec, const std::string& repro_out,
-                  const MatcherFactory& factory,
                   const DifferentialConfig& config) {
   ShrinkOptions sopts;
   sopts.config = config;
-  const ShrinkResult shrunk = ShrinkScenario(spec, sopts, factory);
+  const ShrinkResult shrunk = ShrinkScenario(spec, sopts);
   if (!shrunk.reproduced) {
     std::fprintf(stderr, "error: divergence did not reproduce for shrink\n");
     return 1;
@@ -222,11 +218,10 @@ int ShrinkAndSave(const ScenarioSpec& spec, const std::string& repro_out,
 int RunOneReplay(const std::string& path, bool shrink,
                  const std::string& repro_out,
                  const std::string& report_out,
-                 const DifferentialConfig& config,
-                 const MatcherFactory& factory = nullptr) {
+                 const DifferentialConfig& config) {
   auto spec = LoadReplayFromFile(path);
   if (!spec.ok()) return Fail(spec.status());
-  auto outcome = RunDifferential(spec.value(), config, factory);
+  auto outcome = RunDifferential(spec.value(), config);
   if (!outcome.ok()) return Fail(outcome.status());
 
   HarnessStats stats;
@@ -239,8 +234,7 @@ int RunOneReplay(const std::string& path, bool shrink,
                 outcome.value().requests_run);
     PrintDivergences(outcome.value(), 10);
     if (shrink) {
-      if (const int rc =
-              ShrinkAndSave(spec.value(), repro_out, factory, config);
+      if (const int rc = ShrinkAndSave(spec.value(), repro_out, config);
           rc != 0) {
         return rc;
       }
@@ -254,12 +248,11 @@ int RunOneReplay(const std::string& path, bool shrink,
 
 int Fuzz(std::uint64_t first_seed, std::uint64_t seeds, bool shrink,
          const std::string& repro_out, const std::string& report_out,
-         bool verbose, const DifferentialConfig& config,
-         const MatcherFactory& factory = nullptr) {
+         bool verbose, const DifferentialConfig& config) {
   HarnessStats stats;
   for (std::uint64_t seed = first_seed; seed < first_seed + seeds; ++seed) {
     const ScenarioSpec spec = MakeRandomSpec(seed);
-    auto outcome = RunDifferential(spec, config, factory);
+    auto outcome = RunDifferential(spec, config);
     if (!outcome.ok()) return Fail(outcome.status());
     stats.Fold(outcome.value());
     if (!outcome.value().ok()) {
@@ -269,8 +262,7 @@ int Fuzz(std::uint64_t first_seed, std::uint64_t seeds, bool shrink,
       PrintDivergences(outcome.value(), 10);
       WriteReport(stats, report_out);
       if (shrink) {
-        if (const int rc = ShrinkAndSave(spec, repro_out, factory, config);
-            rc != 0) {
+        if (const int rc = ShrinkAndSave(spec, repro_out, config); rc != 0) {
           return rc;
         }
       }
@@ -297,18 +289,24 @@ int Fuzz(std::uint64_t first_seed, std::uint64_t seeds, bool shrink,
   return 0;
 }
 
-/// Validates the harness end to end: a sabotaged lemma must produce a
-/// divergence that is caught, classified as missing-option, attributed to
-/// the sabotaged lemma's counter, and shrunk to a small repro.
-int SelfTest(int broken_lemma, std::uint64_t seeds,
-             const std::string& repro_out,
+/// Validates the harness end to end: BA beside a deliberately broken
+/// matcher must produce a divergence that is caught, classified as
+/// missing-option, attributed to the fault by `counter` (named
+/// `counter_name` in the failure message), and shrunk to a small repro.
+/// `tag` prefixes every line; `fault` names the injected bug.
+int SelfTest(const std::string& tag, const std::string& fault,
+             const ptar::MatcherFactory& make_broken,
+             const std::string& counter_name,
+             const std::function<std::uint64_t(const Divergence&)>& counter,
+             std::uint64_t seeds, const std::string& repro_out,
              const DifferentialConfig& config) {
-  const MatcherFactory factory = [broken_lemma] {
+  const MatcherFactory factory = [&make_broken] {
     std::vector<std::unique_ptr<Matcher>> matchers;
     matchers.push_back(std::make_unique<BaselineMatcher>());
-    matchers.push_back(std::make_unique<BrokenLemmaMatcher>(broken_lemma));
+    matchers.push_back(make_broken());
     return matchers;
   };
+  const char* t = tag.c_str();
 
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     const ScenarioSpec spec = MakeRandomSpec(seed);
@@ -317,84 +315,58 @@ int SelfTest(int broken_lemma, std::uint64_t seeds,
     if (outcome.value().ok()) continue;
 
     const Divergence& first = outcome.value().divergences.front();
-    std::printf("selftest: seed %llu diverged: %s\n",
+    std::printf("%s: seed %llu diverged: %s\n", t,
                 static_cast<unsigned long long>(seed),
                 first.Describe().c_str());
     if (first.type != DivergenceType::kMissingOption) {
-      std::fprintf(stderr,
-                   "selftest FAIL: expected missing-option, got %s\n",
+      std::fprintf(stderr, "%s FAIL: expected missing-option, got %s\n", t,
                    DivergenceTypeName(first.type));
       return 1;
     }
-    if (first.lemma_hits[static_cast<std::size_t>(broken_lemma)] == 0) {
+    if (counter(first) == 0) {
       std::fprintf(stderr,
-                   "selftest FAIL: lemma %d counter is zero in the "
-                   "divergent request\n",
-                   broken_lemma);
+                   "%s FAIL: %s counter is zero in the divergent request\n",
+                   t, counter_name.c_str());
       return 1;
     }
     ShrinkOptions sopts;
     sopts.config = config;
     const ShrinkResult shrunk = ShrinkScenario(spec, sopts, factory);
     if (!shrunk.reproduced) {
-      std::fprintf(stderr, "selftest FAIL: shrink did not reproduce\n");
+      std::fprintf(stderr, "%s FAIL: shrink did not reproduce\n", t);
       return 1;
     }
-    std::printf("selftest: shrunk to %zu vehicle(s), %zu request(s)\n",
+    std::printf("%s: shrunk to %zu vehicle(s), %zu request(s)\n", t,
                 shrunk.spec.vehicle_starts.size(),
                 shrunk.spec.requests.size());
     if (shrunk.spec.vehicle_starts.size() > 4 ||
         shrunk.spec.requests.size() > 6) {
-      std::fprintf(stderr, "selftest FAIL: repro not minimal enough\n");
+      std::fprintf(stderr, "%s FAIL: repro not minimal enough\n", t);
       return 1;
     }
     if (!repro_out.empty()) {
       const Status saved = SaveReplayToFile(shrunk.spec, repro_out);
       if (!saved.ok()) return Fail(saved);
-      std::printf("selftest repro written to %s\n", repro_out.c_str());
+      std::printf("%s repro written to %s\n", t, repro_out.c_str());
     }
-    std::printf("selftest PASS (broken lemma %d caught)\n", broken_lemma);
+    std::printf("%s PASS (%s caught)\n", t, fault.c_str());
     return 0;
   }
   std::fprintf(stderr,
-               "selftest FAIL: no divergence in %llu seed(s) — the broken "
-               "lemma was not caught\n",
-               static_cast<unsigned long long>(seeds));
+               "%s FAIL: no divergence in %llu seed(s) — %s was not "
+               "caught\n",
+               t, static_cast<unsigned long long>(seeds), fault.c_str());
   return 1;
-}
-
-/// BA/SSA/DSA with and without the GeoPrune prefilter, plus the standalone
-/// ELLIPSE matcher. The unpruned trio already pins the exact answer against
-/// the reference, so any divergence on a "+EL" twin (or ELLIPSE) is a
-/// prefilter soundness bug, not a matcher bug.
-MatcherFactory MakePruneFactory(double shrink_factor) {
-  return [shrink_factor] {
-    prune::EllipsePrefilter::Options popts;
-    popts.shrink_factor = shrink_factor;
-    std::vector<std::unique_ptr<Matcher>> matchers;
-    matchers.push_back(std::make_unique<BaselineMatcher>());
-    matchers.push_back(std::make_unique<SsaMatcher>(1.0));
-    matchers.push_back(std::make_unique<DsaMatcher>(1.0));
-    matchers.push_back(std::make_unique<PrunedMatcher>(
-        std::make_unique<BaselineMatcher>(), popts));
-    matchers.push_back(std::make_unique<PrunedMatcher>(
-        std::make_unique<SsaMatcher>(1.0), popts));
-    matchers.push_back(std::make_unique<PrunedMatcher>(
-        std::make_unique<DsaMatcher>(1.0), popts));
-    matchers.push_back(std::make_unique<EllipseMatcher>(popts));
-    return matchers;
-  };
 }
 
 /// Prune-soundness sweep: every saved regression repro first (each one is a
 /// scenario that once exposed a pruning bug, so the prefilter must stay
-/// divergence-free on it), then fresh fuzz seeds — all under the pruned
-/// matcher set.
+/// divergence-free on it), then fresh fuzz seeds — BA/SSA/DSA behind the
+/// prefilter (`config.prune`) against the reference, which never prunes.
 int PruneCheck(std::uint64_t first_seed, std::uint64_t seeds,
                const std::string& corpus_dir, bool shrink,
                const std::string& repro_out, const std::string& report_out,
                bool verbose, const DifferentialConfig& config) {
-  const MatcherFactory factory = MakePruneFactory(1.0);
   if (!corpus_dir.empty()) {
     std::error_code ec;
     std::vector<std::filesystem::path> files;
@@ -412,80 +384,14 @@ int PruneCheck(std::uint64_t first_seed, std::uint64_t seeds,
     std::sort(files.begin(), files.end());
     for (const std::filesystem::path& file : files) {
       if (const int rc = RunOneReplay(file.string(), shrink, repro_out,
-                                      /*report_out=*/"", config, factory);
+                                      /*report_out=*/"", config);
           rc != 0) {
         return rc;
       }
     }
   }
   return Fuzz(first_seed, seeds, shrink, repro_out, report_out, verbose,
-              config, factory);
-}
-
-/// Validates that the prune-soundness harness has teeth: a deliberately
-/// under-sized ellipse (the ShrinkEllipse fault) must produce a divergence
-/// that is caught, classified as missing-option, attributed to the prune
-/// stage via the ellipse_pruned counter, and shrunk to a small repro.
-int PruneSelfTest(double shrink_factor, std::uint64_t seeds,
-                  const std::string& repro_out,
-                  const DifferentialConfig& config) {
-  // BA vs BA+EL(shrunk): any answer difference is the injected fault.
-  const MatcherFactory factory = [shrink_factor] {
-    prune::EllipsePrefilter::Options popts;
-    popts.shrink_factor = shrink_factor;
-    std::vector<std::unique_ptr<Matcher>> matchers;
-    matchers.push_back(std::make_unique<BaselineMatcher>());
-    matchers.push_back(std::make_unique<PrunedMatcher>(
-        std::make_unique<BaselineMatcher>(), popts));
-    return matchers;
-  };
-
-  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-    const ScenarioSpec spec = MakeRandomSpec(seed);
-    auto outcome = RunDifferential(spec, config, factory);
-    if (!outcome.ok()) return Fail(outcome.status());
-    if (outcome.value().ok()) continue;
-
-    const Divergence& first = outcome.value().divergences.front();
-    std::printf("prune selftest: seed %llu diverged: %s\n",
-                static_cast<unsigned long long>(seed),
-                first.Describe().c_str());
-    if (first.type != DivergenceType::kMissingOption) {
-      std::fprintf(stderr,
-                   "prune selftest FAIL: expected missing-option, got %s\n",
-                   DivergenceTypeName(first.type));
-      return 1;
-    }
-    if (first.ellipse_pruned == 0) {
-      std::fprintf(stderr,
-                   "prune selftest FAIL: divergence not attributed to the "
-                   "prune stage (ellipse_pruned == 0)\n");
-      return 1;
-    }
-    ShrinkOptions sopts;
-    sopts.config = config;
-    const ShrinkResult shrunk = ShrinkScenario(spec, sopts, factory);
-    if (!shrunk.reproduced) {
-      std::fprintf(stderr, "prune selftest FAIL: shrink did not reproduce\n");
-      return 1;
-    }
-    std::printf("prune selftest: shrunk to %zu vehicle(s), %zu request(s)\n",
-                shrunk.spec.vehicle_starts.size(),
-                shrunk.spec.requests.size());
-    if (!repro_out.empty()) {
-      const Status saved = SaveReplayToFile(shrunk.spec, repro_out);
-      if (!saved.ok()) return Fail(saved);
-      std::printf("prune selftest repro written to %s\n", repro_out.c_str());
-    }
-    std::printf("prune selftest PASS (ShrinkEllipse %.3g caught)\n",
-                shrink_factor);
-    return 0;
-  }
-  std::fprintf(stderr,
-               "prune selftest FAIL: no divergence in %llu seed(s) — the "
-               "under-sized ellipse was not caught\n",
-               static_cast<unsigned long long>(seeds));
-  return 1;
+              config);
 }
 
 /// Tree-twin mode: drives the legacy (flat-vector) and arena kinetic trees
@@ -619,15 +525,29 @@ int Main(int argc, char** argv) {
     if (*broken_lemma != 1 && *broken_lemma != 3 && *broken_lemma != 11) {
       return FailUsage("--broken_lemma must be 1, 3, or 11");
     }
-    return SelfTest(static_cast<int>(*broken_lemma),
-                    static_cast<std::uint64_t>(*seeds), repro_out, config);
+    const int lemma = static_cast<int>(*broken_lemma);
+    return SelfTest(
+        "selftest", "broken lemma " + std::to_string(lemma),
+        [lemma] { return std::make_unique<BrokenLemmaMatcher>(lemma); },
+        "lemma " + std::to_string(lemma),
+        [lemma](const Divergence& d) {
+          return d.lemma_hits[static_cast<std::size_t>(lemma)];
+        },
+        static_cast<std::uint64_t>(*seeds), repro_out, config);
   }
   if (*prune_check) {
     if (*shrink_ellipse != 1.0) {
-      return PruneSelfTest(*shrink_ellipse,
-                           static_cast<std::uint64_t>(*seeds), repro_out,
-                           config);
+      const double factor = *shrink_ellipse;
+      char fault[64];
+      std::snprintf(fault, sizeof(fault), "ShrinkEllipse %.3g", factor);
+      return SelfTest(
+          "prune selftest", fault,
+          [factor] { return std::make_unique<BrokenPrefilterMatcher>(factor); },
+          "ellipse_pruned",
+          [](const Divergence& d) { return d.ellipse_pruned; },
+          static_cast<std::uint64_t>(*seeds), repro_out, config);
     }
+    config.prune = PruneMode::kEllipse;
     return PruneCheck(static_cast<std::uint64_t>(*first_seed),
                       static_cast<std::uint64_t>(*seeds), corpus_dir,
                       *shrink, repro_out, report_out, *verbose, config);
