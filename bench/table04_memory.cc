@@ -1,22 +1,19 @@
 // Table IV: memory cost of the grid index and the kinetic trees vs. the
-// grid cell size, plus the kinetic-tree representation comparison the
-// arena overhaul is gated on. The paper reports the grid index growing
+// grid cell size, plus the kinetic-tree fleet footprint the arena
+// representation is gated on. The paper reports the grid index growing
 // steeply as the cells shrink while the kinetic trees stay essentially
 // flat; the road network itself is a fixed cost.
 //
 // Section 2 snapshots a fleet under paper-scale load (most vehicles
-// carrying 1..4 concurrent requests) through both tree representations —
-// the arena/SoA KineticTree and the pre-overhaul per-branch-vector
-// LegacyKineticTree, fed identical commit sequences (the tree twin proves
-// the branch sets identical; kinetic_memory_test proves both MemoryBytes
-// figures byte-exact against a counting allocator). Emits the
-// schema-versioned BENCH_table04.json pinned by the bench-gate target.
+// carrying 1..4 concurrent requests) in arena/SoA KineticTrees
+// (kinetic_memory_test proves MemoryBytes byte-exact against a counting
+// allocator). Emits the schema-versioned BENCH_table04.json pinned by the
+// bench-gate target.
 //
 // Self-enforced bar (exit 1 on violation, deterministic inputs): at the
-// 10k-vehicle point, both representations running at the seed's shipped
-// branch cap (64), the arena must hold its fleet in >= 4x fewer bytes per
-// vehicle than the legacy representation. An uncapped row (identical
-// branch sets, prefix sharing only) is reported alongside without a bar.
+// 10k-vehicle point and the seed's shipped branch cap (64), the fleet must
+// fit in kBytesPerVehicleBudget bytes per vehicle. An uncapped row (prefix
+// sharing only) is reported alongside without a bar.
 
 #include <algorithm>
 #include <cstdint>
@@ -25,7 +22,6 @@
 #include <vector>
 
 #include "bench/harness.h"
-#include "check/tree_twin.h"
 #include "common/timer.h"
 #include "graph/dijkstra.h"
 #include "kinetic/kinetic_tree.h"
@@ -36,14 +32,13 @@
 namespace ptar {
 namespace {
 
-constexpr double kMemoryBar = 4.0;  ///< Legacy/arena bytes-per-vehicle.
+/// The pre-arena per-branch-vector tree held the bar fleet in 52,798.74
+/// bytes/vehicle, and the arena was gated at >= 4x fewer bytes than that;
+/// the budget keeps that threshold (52,798.74 / 4, rounded down).
+constexpr double kBytesPerVehicleBudget = 13199.0;
 constexpr int kBarVehicles = 10000;
-/// The pre-overhaul tree shipped with max_branches=64; the bar compares
-/// both representations at that cap — the configuration the seed actually
-/// ran — where the legacy tree's real costs show: the commit path
-/// materializes every enumerated schedule and `resize(64)` keeps the
-/// enumeration-sized spine capacity. The uncapped row is also reported
-/// (prefix sharing alone, identical branch sets) without a bar.
+/// The pre-arena tree shipped with max_branches=64, so the bar row runs at
+/// that cap; the uncapped row is reported without a bar.
 constexpr std::size_t kSeedDefaultCap = 64;
 
 /// SplitMix64; the bench's only randomness source (deterministic per seed).
@@ -67,10 +62,7 @@ struct FleetRow {
   int loaded_vehicles = 0;          ///< Vehicles with >= 1 request.
   std::uint64_t requests = 0;       ///< Commits applied across the fleet.
   std::size_t arena_bytes = 0;      ///< Sum of KineticTree::MemoryBytes.
-  std::size_t legacy_bytes = 0;     ///< Sum of legacy MemoryBytes(16).
   double arena_per_vehicle = 0.0;
-  double legacy_per_vehicle = 0.0;
-  double legacy_over_arena = 0.0;
   std::size_t branch_p50 = 0;
   std::size_t branch_p99 = 0;
   std::size_t live_nodes = 0;       ///< Arena-wide reachable stop nodes.
@@ -148,10 +140,10 @@ class PooledDistances {
   std::vector<std::size_t> near_;  ///< kNearby nearest pool indices each.
 };
 
-/// Builds one vehicle's trees (arena + legacy) from an identical commit
-/// sequence and folds their footprints into `row`. Trees are measured live
-/// — with the capacity slack the commit path actually left — because that
-/// is what a resident fleet costs.
+/// Builds one vehicle's tree from its commit sequence and folds its
+/// footprint into `row`. Trees are measured live — with the capacity slack
+/// the commit path actually left — because that is what a resident fleet
+/// costs.
 void SnapshotVehicle(int vehicle, std::size_t cap,
                      const PooledDistances& dists,
                      const KineticTree::DistFn& dist, FleetRow* row,
@@ -161,9 +153,6 @@ void SnapshotVehicle(int vehicle, std::size_t cap,
   const VertexId location = dists.At(loc_idx);
   KineticTree arena(vehicle, location, /*capacity=*/5,
                     cap == 0 ? KineticTree::kUnlimitedBranches : cap);
-  check::LegacyKineticTree legacy(
-      vehicle, location, /*capacity=*/5,
-      cap == 0 ? KineticTree::kUnlimitedBranches : cap);
 
   // Peak-load profile (the regime Table IV is about): a tenth of the
   // fleet idles, the rest serves a shared corridor — 4..5 single-rider
@@ -185,32 +174,15 @@ void SnapshotVehicle(int vehicle, std::size_t cap,
     r.max_wait_dist = 3000.0 + static_cast<double>(NextRand(rng) % 2500);
     r.epsilon = 1.8 + 0.01 * static_cast<double>(NextRand(rng) % 60);
     const Distance direct = dist(r.start, r.destination);
-    const Status arena_st = arena.Commit(r, direct, direct, dist);
-    const Status legacy_st = legacy.Commit(r, direct, direct, dist);
-    if (cap == 0) {
-      PTAR_CHECK(arena_st.ok() == legacy_st.ok())
-          << "representation twin diverged on commit";
-    } else if (arena_st.ok() != legacy_st.ok()) {
-      // Capped retention keeps slightly different branch sets (skyline +
-      // fill vs the old best-by-total sort), so a later request's
-      // feasibility can legitimately differ; freeze this vehicle's load at
-      // the divergence so both snapshots serve the same commits.
-      break;
-    }
-    if (arena_st.ok()) ++row->requests;
+    if (arena.Commit(r, direct, direct, dist).ok()) ++row->requests;
   }
 
   if (num_requests > 0) ++row->loaded_vehicles;
   row->arena_bytes += arena.MemoryBytes();
-  row->legacy_bytes += legacy.MemoryBytes();
   const KineticTree::ArenaStats stats = arena.arena_stats();
   row->live_nodes += stats.live_nodes;
   row->node_slots += stats.node_slots;
   branch_counts->push_back(arena.num_branches());
-  if (cap == 0) {
-    PTAR_CHECK(arena.num_branches() == legacy.schedules().size())
-        << "representation twin diverged on branch count";
-  }
 }
 
 FleetRow SnapshotFleet(int num_vehicles, std::size_t cap,
@@ -232,9 +204,6 @@ FleetRow SnapshotFleet(int num_vehicles, std::size_t cap,
   row.branch_p99 = branch_counts[branch_counts.size() * 99 / 100];
   row.arena_per_vehicle =
       static_cast<double>(row.arena_bytes) / num_vehicles;
-  row.legacy_per_vehicle =
-      static_cast<double>(row.legacy_bytes) / num_vehicles;
-  row.legacy_over_arena = row.legacy_per_vehicle / row.arena_per_vehicle;
   row.arena_utilization =
       row.node_slots == 0
           ? 0.0
@@ -270,10 +239,7 @@ bool WriteJson(const std::string& path, const std::vector<CellRow>& cells,
     w.KV("loaded_vehicles", static_cast<std::int64_t>(f.loaded_vehicles));
     w.KV("requests", f.requests);
     w.KV("arena_bytes", static_cast<std::uint64_t>(f.arena_bytes));
-    w.KV("legacy_bytes", static_cast<std::uint64_t>(f.legacy_bytes));
     w.KV("arena_bytes_per_vehicle", f.arena_per_vehicle);
-    w.KV("legacy_bytes_per_vehicle", f.legacy_per_vehicle);
-    w.KV("legacy_over_arena", f.legacy_over_arena);
     w.KV("branch_p50", static_cast<std::uint64_t>(f.branch_p50));
     w.KV("branch_p99", static_cast<std::uint64_t>(f.branch_p99));
     w.KV("arena_live_nodes", static_cast<std::uint64_t>(f.live_nodes));
@@ -319,12 +285,10 @@ int Main(int argc, char** argv) {
                             row.tree_memory_bytes});
   }
 
-  std::printf("\n--- kinetic-tree representation: arena/SoA vs legacy "
-              "per-branch vectors ---\n");
+  std::printf("\n--- kinetic-tree fleet footprint (arena/SoA) ---\n");
   const PooledDistances dists(harness.graph(), /*pool_size=*/32);
-  std::printf("%-10s %6s %12s %12s %8s %8s %8s %8s %10s\n", "vehicles",
-              "cap", "arena B/veh", "legacy B/veh", "ratio", "br p50",
-              "br p99", "util", "build(ms)");
+  std::printf("%-10s %6s %12s %8s %8s %8s %10s\n", "vehicles", "cap",
+              "arena B/veh", "br p50", "br p99", "util", "build(ms)");
   std::vector<FleetRow> fleets;
   bool ok = true;
   const struct {
@@ -335,20 +299,18 @@ int Main(int argc, char** argv) {
                 {kBarVehicles, kSeedDefaultCap}};  // the bar row
   for (const auto& sweep : sweeps) {
     const FleetRow row = SnapshotFleet(sweep.num_vehicles, sweep.cap, dists);
-    std::printf(
-        "%-10d %6zu %12.1f %12.1f %7.2fx %8zu %8zu %7.1f%% %10.1f\n",
-        row.num_vehicles, row.tree_max_branches, row.arena_per_vehicle,
-        row.legacy_per_vehicle, row.legacy_over_arena, row.branch_p50,
-        row.branch_p99, row.arena_utilization * 100.0, row.build_ms);
+    std::printf("%-10d %6zu %12.1f %8zu %8zu %7.1f%% %10.1f\n",
+                row.num_vehicles, row.tree_max_branches,
+                row.arena_per_vehicle, row.branch_p50, row.branch_p99,
+                row.arena_utilization * 100.0, row.build_ms);
     if (row.num_vehicles == kBarVehicles &&
         row.tree_max_branches == kSeedDefaultCap &&
-        row.legacy_over_arena < kMemoryBar) {
+        row.arena_per_vehicle > kBytesPerVehicleBudget) {
       std::fprintf(stderr,
-                   "FAIL vehicles=%d cap=%zu: arena holds the fleet in "
-                   "only %.2fx fewer bytes/vehicle than legacy "
-                   "(bar: %.1fx)\n",
+                   "FAIL vehicles=%d cap=%zu: %.1f bytes/vehicle exceeds "
+                   "the %.0f budget\n",
                    row.num_vehicles, row.tree_max_branches,
-                   row.legacy_over_arena, kMemoryBar);
+                   row.arena_per_vehicle, kBytesPerVehicleBudget);
       ok = false;
     }
     fleets.push_back(row);
@@ -360,10 +322,9 @@ int Main(int argc, char** argv) {
   }
   std::printf("\nwrote BENCH_table04.json\n");
   if (!ok) return 1;
-  std::printf("bar met: >= %.1fx fewer bytes/vehicle than the legacy "
-              "representation at %d vehicles (cap %zu, the seed's shipped "
-              "default)\n",
-              kMemoryBar, kBarVehicles, kSeedDefaultCap);
+  std::printf("bar met: <= %.0f bytes/vehicle at %d vehicles (cap %zu, the "
+              "seed's shipped default)\n",
+              kBytesPerVehicleBudget, kBarVehicles, kSeedDefaultCap);
   return 0;
 }
 

@@ -623,10 +623,10 @@ StatusOr<KineticTree::StopEvent> KineticTree::ArriveAtNextStop() {
   }
   PTAR_CHECK(found) << "served stop references an unknown request";
 
-  // Branch surgery. Fast (normal) path: the served stop maps to exactly one
-  // root child, so advancing is copy-free — drop the leaves of the other
-  // subtrees, recycle those subtrees into the arena, and promote the served
-  // node's children to root children in place.
+  // Branch surgery. The served stop maps to exactly one root child, so
+  // advancing is copy-free: drop the leaves of the other subtrees, recycle
+  // those subtrees into the arena, and promote the served node's children
+  // to root children in place.
   bool unique_match = true;
   for (NodeId c = store_.root_child_head(); c != BranchStore::kNilNode;
        c = store_.next_sibling(c)) {
@@ -635,35 +635,14 @@ StatusOr<KineticTree::StopEvent> KineticTree::ArriveAtNextStop() {
       break;
     }
   }
-  if (unique_match) {
-    store_.RemoveLeavesNotUnder(active_first);
-    PTAR_CHECK(store_.num_leaves() > 0)
-        << "active branch must survive its own stop";
-    store_.AdvanceRoot(active_first);
-  } else {
-    // Defensive slow path: several root children carry the served stop by
-    // value (bit-different first legs — does not arise from the normal
-    // commit/refresh flow). Fall back to surgery on materialized branches.
-    std::vector<Schedule> survivors;
-    Schedule scratch;
-    for (std::size_t b = 0; b < store_.num_leaves(); ++b) {
-      store_.Materialize(store_.leaf(b), &scratch);
-      if (scratch.stops.empty() || !(scratch.stops[0] == served)) continue;
-      scratch.stops.erase(scratch.stops.begin());
-      scratch.legs.erase(scratch.legs.begin());
-      bool duplicate = false;
-      for (const Schedule& kept : survivors) {
-        if (kept.SameStops(scratch)) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) survivors.push_back(scratch);
-    }
-    PTAR_CHECK(!survivors.empty())
-        << "active branch must survive its own stop";
-    LoadBranches(survivors);
-  }
+  PTAR_CHECK(unique_match)
+      << "two root children carry the served stop: prefix sharing keys on "
+         "(stop, leg), every branch producer dedups by stop sequence, and "
+         "MoveTo/Refresh/RebuildBranches write one first leg per first stop";
+  store_.RemoveLeavesNotUnder(active_first);
+  PTAR_CHECK(store_.num_leaves() > 0)
+      << "active branch must survive its own stop";
+  store_.AdvanceRoot(active_first);
 
   // Re-validate (non-active branches may have drifted out of budget while
   // the vehicle drove).
@@ -740,20 +719,20 @@ Status KineticTree::RebuildBranches(const DistFn& dist) {
       prev = stop.location;
     }
     if (!reachable || !IsValidSchedule(branch, nullptr)) continue;
-    bool duplicate = false;
-    for (const Schedule& kept : rebuilt) {
-      if (kept.SameStops(branch)) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) rebuilt.push_back(std::move(branch));
+    rebuilt.push_back(std::move(branch));
   }
   if (rebuilt.empty()) {
     return Status::Internal("no valid branch survived rebuild for vehicle " +
                             std::to_string(vehicle_));
   }
+  // Legs are recomputed from the stops, so equal stop sequences have equal
+  // totals and sort adjacent.
   std::sort(rebuilt.begin(), rebuilt.end(), BranchLess);
+  rebuilt.erase(std::unique(rebuilt.begin(), rebuilt.end(),
+                            [](const Schedule& a, const Schedule& b) {
+                              return a.SameStops(b);
+                            }),
+                rebuilt.end());
   LoadBranches(rebuilt);
   stale_ = false;
   RecomputeActive();

@@ -1,9 +1,8 @@
-// Verifies KineticTree::MemoryBytes (and the legacy tree's honest
-// accounting) against a malloc-counting global allocator: the reported
-// figure for a freshly copied tree must equal the bytes the copy actually
-// allocated, to the byte. A copy is the right subject because vector copy
-// constructors allocate exactly size() elements, making capacity
-// bookkeeping deterministic.
+// Verifies KineticTree::MemoryBytes against a malloc-counting global
+// allocator: the reported figure for a freshly copied tree must equal the
+// bytes the copy actually allocated, to the byte. A copy is the right
+// subject because vector copy constructors allocate exactly size()
+// elements, making capacity bookkeeping deterministic.
 //
 // The binary overrides global operator new/delete, so it must stay out of
 // the sanitizer sweeps (allocator interposition would double-count); see
@@ -16,7 +15,6 @@
 #include <cstdlib>
 #include <new>
 
-#include "check/tree_twin.h"
 #include "graph/distance_oracle.h"
 #include "kinetic/kinetic_tree.h"
 #include "tests/test_util.h"
@@ -80,24 +78,20 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace ptar {
 namespace {
 
-using check::LegacyKineticTree;
-
-/// Grows matching legacy/arena trees with a few committed requests on the
-/// small grid so both hold a real multi-branch state.
-struct TwinTrees {
+/// Grows an arena tree with a few committed requests on the small grid so
+/// it holds a real multi-branch state.
+struct GrownTree {
   DistanceOracle oracle;
   KineticTree::DistFn dist;
-  LegacyKineticTree legacy;
   KineticTree arena;
 
-  explicit TwinTrees(const RoadNetwork* g)
+  explicit GrownTree(const RoadNetwork* g)
       : oracle(g),
         dist([this](VertexId a, VertexId b) { return oracle.Dist(a, b); }),
-        legacy(0, 0, 4),
         arena(0, 0, 4) {}
 };
 
-void GrowTrees(TwinTrees* t) {
+void GrowTree(GrownTree* t) {
   RequestId next_id = 1;
   const std::pair<VertexId, VertexId> trips[] = {{1, 8}, {3, 5}, {6, 2}};
   for (const auto& [s, d] : trips) {
@@ -109,7 +103,6 @@ void GrowTrees(TwinTrees* t) {
     r.max_wait_dist = 1500.0;
     r.epsilon = 1.5;
     const Distance direct = t->dist(s, d);
-    ASSERT_TRUE(t->legacy.Commit(r, direct, direct, t->dist).ok());
     ASSERT_TRUE(t->arena.Commit(r, direct, direct, t->dist).ok());
   }
   ASSERT_GT(t->arena.num_branches(), 1u);
@@ -117,8 +110,8 @@ void GrowTrees(TwinTrees* t) {
 
 TEST(KineticMemoryTest, ArenaMemoryBytesMatchesAllocatorExactly) {
   const RoadNetwork g = testing::MakeSmallGrid();
-  TwinTrees t(&g);
-  GrowTrees(&t);
+  GrownTree t(&g);
+  GrowTree(&t);
 
   const std::int64_t before = LiveBytes();
   KineticTree copy(t.arena);
@@ -128,36 +121,6 @@ TEST(KineticMemoryTest, ArenaMemoryBytesMatchesAllocatorExactly) {
             static_cast<std::int64_t>(copy.MemoryBytes() -
                                       sizeof(KineticTree)));
   EXPECT_GT(copy.MemoryBytes(), sizeof(KineticTree));
-}
-
-TEST(KineticMemoryTest, LegacyHonestAccountingMatchesAllocatorExactly) {
-  const RoadNetwork g = testing::MakeSmallGrid();
-  TwinTrees t(&g);
-  GrowTrees(&t);
-
-  const std::int64_t before = LiveBytes();
-  LegacyKineticTree copy(t.legacy);
-  const std::int64_t after = LiveBytes();
-
-  // alloc_overhead=0 isolates the requested-byte figure the counting
-  // allocator sees; the default 16 adds the real-world malloc header the
-  // bench uses for the honest baseline.
-  EXPECT_EQ(after - before,
-            static_cast<std::int64_t>(copy.MemoryBytes(0) -
-                                      sizeof(LegacyKineticTree)));
-  EXPECT_GT(copy.MemoryBytes(16), copy.MemoryBytes(0));
-}
-
-TEST(KineticMemoryTest, ArenaIsSmallerThanLegacyOnSharedBranches) {
-  const RoadNetwork g = testing::MakeSmallGrid();
-  TwinTrees t(&g);
-  GrowTrees(&t);
-
-  // Copies normalize capacity to size, so this compares intrinsic
-  // representation cost, not growth slack.
-  const KineticTree arena_copy(t.arena);
-  const LegacyKineticTree legacy_copy(t.legacy);
-  EXPECT_LT(arena_copy.MemoryBytes(), legacy_copy.MemoryBytes());
 }
 
 TEST(KineticMemoryTest, IdleArenaTreeOwnsNoHeap) {

@@ -12,6 +12,8 @@
 //   --replay    run one saved replay file instead of random scenarios
 //   --selftest  sabotage a lemma on purpose and demand the harness catch,
 //               classify, and shrink it (validates the harness itself)
+//   --tree_spec check the kinetic tree against a Definition-2 enumerator
+//               over seeded op streams
 //
 // All randomness is seed-driven; identical invocations are bit-identical.
 
@@ -28,7 +30,7 @@
 #include "check/replay_io.h"
 #include "check/scenario.h"
 #include "check/shrinker.h"
-#include "check/tree_twin.h"
+#include "check/tree_spec.h"
 #include "common/flags.h"
 #include "obs/report.h"
 #include "rideshare/baseline_matcher.h"
@@ -66,7 +68,7 @@ int Help() {
       "                  [--shrink_ellipse=F]\n"
       "                  [--distance_backend=dijkstra|ch]\n"
       "                  [--request_budget=N] [--inject=SPEC] [--verbose]\n"
-      "                  [--tree_twin=N] [--tree_cap=N]\n"
+      "                  [--tree_spec=N] [--tree_cap=N]\n"
       "                  [--help]\n\n"
       "  --seeds=N         randomized scenarios to fuzz (default 50)\n"
       "  --first_seed=N    first seed of the range (default 1)\n"
@@ -102,15 +104,18 @@ int Help() {
       "                    fail_rate, seed, slow_us, stall_every, stall_us\n"
       "                    (e.g. fail_rate=0.05,seed=7); faulted results\n"
       "                    must still be subsets of the clean reference\n"
-      "  --tree_twin=N     kinetic-tree twin mode: fuzz N seeded op\n"
-      "                    sequences through the legacy (flat-vector) and\n"
-      "                    arena tree representations in lockstep; any\n"
-      "                    observable difference (branch sets, bookkeeping,\n"
-      "                    statuses, auditor findings) fails the run\n"
-      "  --tree_cap=N      with --tree_twin: also ride a capped arena tree\n"
-      "                    (--tree_max_branches=N) and check it stays a\n"
-      "                    branch-subset with every loss attributed to its\n"
-      "                    drop counters (default 8; 0 disables)\n");
+      "  --tree_spec=N     kinetic-tree spec mode: drive a tree through N\n"
+      "                    seeded op streams and compare it after every op\n"
+      "                    with a brute-force enumeration of Definition 2;\n"
+      "                    any missing or invalid branch, bookkeeping or\n"
+      "                    status difference, or auditor finding fails the\n"
+      "                    run (takes --first_seed, --distance_backend,\n"
+      "                    --report_out and --verbose only)\n"
+      "  --tree_cap=N      with --tree_spec: also run each seed on a tree\n"
+      "                    capped at N branches (--tree_max_branches=N) and\n"
+      "                    check its branches stay valid with every loss\n"
+      "                    attributed to its drop counters (default 8; 0\n"
+      "                    disables)\n");
   return 0;
 }
 
@@ -394,15 +399,15 @@ int PruneCheck(std::uint64_t first_seed, std::uint64_t seeds,
               config);
 }
 
-/// Tree-twin mode: drives the legacy (flat-vector) and arena kinetic trees
-/// through identical op sequences and fails on any observable difference.
-/// Exercised by differential-nightly on both distance backends.
-int TreeTwin(std::uint64_t first_seed, std::uint64_t seeds, std::size_t cap,
+/// Tree-spec mode: drives kinetic trees through seeded op streams and fails
+/// on any difference from the Definition-2 enumeration. Exercised by
+/// differential-nightly on both distance backends.
+int TreeSpec(std::uint64_t first_seed, std::uint64_t seeds, std::size_t cap,
              DistanceBackend backend, const std::string& report_out,
              bool verbose) {
-  TreeTwinOutcome total;
+  TreeSpecOutcome total;
   for (std::uint64_t seed = first_seed; seed < first_seed + seeds; ++seed) {
-    const TreeTwinOutcome one = RunTreeTwin(seed, backend, cap);
+    const TreeSpecOutcome one = RunTreeSpec(seed, backend, cap);
     if (verbose) {
       std::printf("seed %llu: %llu ops, %llu commits, %llu arrivals%s\n",
                   static_cast<unsigned long long>(seed),
@@ -419,32 +424,33 @@ int TreeTwin(std::uint64_t first_seed, std::uint64_t seeds, std::size_t cap,
   if (!report_out.empty()) {
     obs::RunReport report;
     report.tool = "ptar_check";
-    report.metrics.AddCounter("tree_twin/seeds", seeds);
-    report.metrics.AddCounter("tree_twin/ops", total.ops);
-    report.metrics.AddCounter("tree_twin/commits", total.commits);
-    report.metrics.AddCounter("tree_twin/arrivals", total.arrivals);
-    report.metrics.AddCounter("tree_twin/divergences", total.divergences);
-    report.metrics.AddCounter("tree_twin/capped_losses", total.capped_losses);
-    report.metrics.AddCounter("tree_twin/capped_drops", total.capped_drops);
+    report.metrics.AddCounter("tree_spec/seeds", seeds);
+    report.metrics.AddCounter("tree_spec/ops", total.ops);
+    report.metrics.AddCounter("tree_spec/commits", total.commits);
+    report.metrics.AddCounter("tree_spec/arrivals", total.arrivals);
+    report.metrics.AddCounter("tree_spec/divergences", total.divergences);
+    report.metrics.AddCounter("tree_spec/capped_losses", total.capped_losses);
+    report.metrics.AddCounter("tree_spec/capped_drops", total.capped_drops);
     const Status status = obs::WriteRunReport(report, report_out);
     if (!status.ok()) return Fail(status);
   }
   if (!total.ok()) {
     std::fprintf(stderr,
-                 "FAIL: %llu divergence(s) across %llu seed(s) of the "
-                 "kinetic-tree twin\n",
+                 "FAIL: %llu divergence(s) from Definition 2 across %llu "
+                 "seed(s)\n",
                  static_cast<unsigned long long>(total.divergences),
                  static_cast<unsigned long long>(seeds));
     return 1;
   }
   std::printf(
-      "PASS: legacy and arena kinetic trees agreed over %llu seed(s) "
-      "(%llu ops, %llu commits, %llu arrivals; capped twin: %llu attributed "
-      "loss(es), %llu dropped branch(es))\n",
+      "PASS: kinetic tree matched Definition 2 over %llu seed(s) (%llu ops, "
+      "%llu commits, %llu arrivals, %llu borderline; capped run: %llu "
+      "attributed loss(es), %llu dropped branch(es))\n",
       static_cast<unsigned long long>(seeds),
       static_cast<unsigned long long>(total.ops),
       static_cast<unsigned long long>(total.commits),
       static_cast<unsigned long long>(total.arrivals),
+      static_cast<unsigned long long>(total.borderline),
       static_cast<unsigned long long>(total.capped_losses),
       static_cast<unsigned long long>(total.capped_drops));
   return 0;
@@ -474,7 +480,7 @@ int Main(int argc, char** argv) {
   const std::string backend_name =
       flags.GetString("distance_backend", "dijkstra");
   const auto request_budget = flags.GetInt("request_budget", 0);
-  const auto tree_twin = flags.GetInt("tree_twin", 0);
+  const auto tree_spec = flags.GetInt("tree_spec", 0);
   const auto tree_cap = flags.GetInt("tree_cap", 8);
   const std::string inject = flags.GetString("inject", "");
   if (!seeds.ok()) return Fail(seeds.status());
@@ -489,12 +495,26 @@ int Main(int argc, char** argv) {
   if (*seeds < 1) return FailUsage("--seeds must be >= 1");
   if (*first_seed < 0) return FailUsage("--first_seed must be >= 0");
   if (*request_budget < 0) return FailUsage("--request_budget must be >= 0");
-  if (!tree_twin.ok()) return Fail(tree_twin.status());
+  if (!tree_spec.ok()) return Fail(tree_spec.status());
   if (!tree_cap.ok()) return Fail(tree_cap.status());
-  if (flags.Has("tree_twin") && *tree_twin < 1) {
-    return FailUsage("--tree_twin must be >= 1");
+  if (flags.Has("tree_spec") && *tree_spec < 1) {
+    return FailUsage("--tree_spec must be >= 1");
   }
   if (*tree_cap < 0) return FailUsage("--tree_cap must be >= 0");
+  if (flags.Has("tree_cap") && !flags.Has("tree_spec")) {
+    return FailUsage("--tree_cap requires --tree_spec");
+  }
+  if (flags.Has("tree_spec")) {
+    for (const char* mode :
+         {"seeds", "shrink", "repro_out", "replay", "selftest",
+          "broken_lemma", "prune_check", "corpus_dir", "shrink_ellipse",
+          "request_budget", "inject"}) {
+      if (flags.Has(mode)) {
+        return FailUsage(std::string("--tree_spec cannot be combined with --") +
+                         mode);
+      }
+    }
+  }
   if (*shrink_ellipse <= 0.0 || *shrink_ellipse > 1.0) {
     return FailUsage("--shrink_ellipse must be in (0, 1]");
   }
@@ -515,9 +535,9 @@ int Main(int argc, char** argv) {
     config.faults = *plan;
   }
 
-  if (*tree_twin > 0) {
-    return TreeTwin(static_cast<std::uint64_t>(*first_seed),
-                    static_cast<std::uint64_t>(*tree_twin),
+  if (*tree_spec > 0) {
+    return TreeSpec(static_cast<std::uint64_t>(*first_seed),
+                    static_cast<std::uint64_t>(*tree_spec),
                     static_cast<std::size_t>(*tree_cap), *backend, report_out,
                     *verbose);
   }
