@@ -53,8 +53,8 @@ struct BenchConfig {
   /// it only spreads one request's matcher slots over workers.
   int threads = 1;
   /// Oracle backend (EngineOptions::distance_backend); kCH pays a one-time
-  /// preprocessing cost per engine and then answers each sweep with bucket
-  /// queries instead of a Dijkstra drain.
+  /// preprocessing cost per engine and then fills each request row with a
+  /// downward sweep instead of a Dijkstra drain.
   DistanceBackend distance_backend = DistanceBackend::kDijkstra;
   /// Candidate prefilter (EngineOptions::prune), installed in front of
   /// every matcher slot.

@@ -4,10 +4,9 @@
 // envelope as the other bench emitters).
 //
 // The headline number is the one-to-many speedup on the large perturbed
-// grid: a matcher batch asks for a few dozen targets per request, which a
-// Dijkstra sweep answers by draining most of the city while the CH bucket
-// join touches only two hierarchy search spaces per target. The acceptance
-// bar for this PR is >= 5x there.
+// grid: a batch of a few dozen targets, which a Dijkstra sweep answers by
+// draining most of the city while the CH downward sweep runs one upward
+// search and one heap-free linear pass. The acceptance bar is >= 5x there.
 //
 // Startup verifies CH distances against Dijkstra (1e-6, see ch_query.h on
 // floating-point association) on every benchmarked city before any timing.

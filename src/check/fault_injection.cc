@@ -163,7 +163,7 @@ VehicleId CorruptRandomLeg(std::vector<KineticTree>& fleet,
 MatchResult BrokenLemmaMatcher::Match(const Request& request,
                                       MatchContext& ctx) {
   Timer timer;
-  ctx.oracle->ClearCache();
+  ctx.oracle->BeginRequest(request.start, request.destination);
   ctx.oracle->ResetStats();
 
   internal::RequestEnv env;

@@ -97,6 +97,8 @@ std::vector<Option> NaiveSkyline(std::vector<Option> options) {
 MatchResult ReferenceMatcher::Match(const Request& request,
                                     MatchContext& ctx) {
   Timer timer;
+  // No row anchors: the reference reads point-to-point values, so it stays
+  // independent of the request rows the matchers under test read.
   ctx.oracle->ClearCache();
   ctx.oracle->ResetStats();
 

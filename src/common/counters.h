@@ -13,15 +13,16 @@
 
 namespace ptar {
 
-/// Instrumentation for batched one-to-many distance queries
-/// (DistanceOracle::BatchDist / WarmFrom). Tracks how well the batching
-/// amortizes Dijkstra sweeps: one sweep serving k pairs replaces k
-/// point-to-point searches. compdists accounting is separate and unchanged
-/// by batching; these counters only describe *how* pairs were produced.
+/// Instrumentation for the DistanceOracle's one-to-many searches: its
+/// per-request rows and BatchDist. Tracks how well they amortize searches:
+/// one sweep serving k pairs replaces k point-to-point searches. compdists
+/// accounting is separate and does not depend on how a pair was produced;
+/// these counters only describe *how* pairs were produced.
 struct BatchStats {
-  /// BatchDist invocations (WarmFrom calls are counted via sweeps only).
+  /// BatchDist invocations.
   std::uint64_t batch_calls = 0;
-  /// One-to-many Dijkstra sweeps actually run (0-target batches run none).
+  /// One-to-many searches actually run: BatchDist sweeps (0-target batches
+  /// run none) plus row fills (one full search from s or d).
   std::uint64_t sweeps = 0;
   /// Total pairs requested across all BatchDist calls (incl. duplicates).
   std::uint64_t pairs_requested = 0;
@@ -29,8 +30,8 @@ struct BatchStats {
   std::uint64_t pairs_from_cache = 0;
   /// Pairs settled by a one-to-many sweep (each counted one compdist).
   std::uint64_t pairs_swept = 0;
-  /// Dist() calls served from a WarmFrom prefetch (counted one compdist at
-  /// that moment, exactly when an unbatched run would have computed them).
+  /// First reads of a pair served by a request row (each counted one
+  /// compdist; later reads of the pair are free).
   std::uint64_t warm_hits = 0;
 
   double MeanPairsPerSweep() const {

@@ -6,12 +6,7 @@
 
 namespace ptar {
 
-CHQuery::CHQuery(const CHGraph* ch) : ch_(ch) {
-  PTAR_CHECK(ch != nullptr);
-  const std::size_t n = ch->num_vertices();
-  bucket_head_.assign(n, kNoEntry);
-  bucket_stamp_.assign(n, 0);
-}
+CHQuery::CHQuery(const CHGraph* ch) : ch_(ch) { PTAR_CHECK(ch != nullptr); }
 
 void CHQuery::Side::Begin(std::size_t n) {
   if (dist.size() != n) {
@@ -41,7 +36,7 @@ bool CHQuery::SettleNext(Side& side, VertexId* settled_vertex,
     // Stall-on-demand: a reached higher-ranked neighbor proving a shorter
     // path to u means no shortest up-down path peaks above u through here,
     // so skip the expansion. u's label stays valid (it is a real path
-    // length), so callers may still use it for meets and bucket joins.
+    // length), so callers may still use it for meets and the sweep.
     bool stalled = false;
     for (const CHGraph::UpArc& arc : ch_->UpArcs(u)) {
       if (side.Reached(arc.head) &&
@@ -164,17 +159,23 @@ void CHQuery::RunUpwardFrom(VertexId source) {
 void CHQuery::OneToMany(VertexId source, std::span<const VertexId> targets,
                         std::span<Distance> out) {
   PTAR_CHECK(out.size() == targets.size());
-  last_settled_count_ = 0;
-  if (targets.size() <= kBucketBatchLimit) {
-    BucketOneToMany(source, targets, out);
-  } else {
-    SweepOneToMany(source, targets, out);
+  DownwardSweep(source);
+  for (std::size_t j = 0; j < targets.size(); ++j) {
+    out[j] = sweep_dist_[ch_->SweepPos(targets[j])];
   }
 }
 
-void CHQuery::SweepOneToMany(VertexId source,
-                             std::span<const VertexId> targets,
-                             std::span<Distance> out) {
+void CHQuery::OneToAll(VertexId source, std::span<Distance> out) {
+  PTAR_CHECK(out.size() == ch_->num_vertices());
+  DownwardSweep(source);
+  const std::span<const VertexId> by_rank = ch_->VerticesByRankDescending();
+  for (std::size_t pos = 0; pos < by_rank.size(); ++pos) {
+    out[by_rank[pos]] = sweep_dist_[pos];
+  }
+}
+
+void CHQuery::DownwardSweep(VertexId source) {
+  last_settled_count_ = 0;
   RunUpwardFrom(source);
   // Downward sweep: visiting vertices in descending rank order, every
   // upward neighbor is already final, so one pass computes
@@ -193,68 +194,6 @@ void CHQuery::SweepOneToMany(VertexId source,
       if (candidate < best) best = candidate;
     }
     sweep_dist_[pos] = best;
-  }
-  for (std::size_t j = 0; j < targets.size(); ++j) {
-    out[j] =
-        targets[j] == source ? 0.0 : sweep_dist_[ch_->SweepPos(targets[j])];
-  }
-}
-
-void CHQuery::BucketOneToMany(VertexId source,
-                              std::span<const VertexId> targets,
-                              std::span<Distance> out) {
-  const std::size_t n = ch_->num_vertices();
-  std::fill(out.begin(), out.end(), kInfDistance);
-
-  // Bucket phase: one upward search per target; every reached vertex gets
-  // a (target, dist-to-target) entry on its chain.
-  ++bucket_run_;
-  if (bucket_run_ == 0) {
-    std::fill(bucket_stamp_.begin(), bucket_stamp_.end(), 0);
-    bucket_run_ = 1;
-  }
-  bucket_entries_.clear();
-  for (std::size_t j = 0; j < targets.size(); ++j) {
-    const VertexId t = targets[j];
-    if (t == source) {
-      out[j] = 0.0;
-      continue;
-    }
-    bwd_.Begin(n);
-    bwd_.stamp[t] = bwd_.run;
-    bwd_.dist[t] = 0.0;
-    bwd_.heap.push_back({0.0, t});
-    VertexId v = kInvalidVertex;
-    Distance d = 0.0;
-    while (SettleNext(bwd_, &v, &d)) {
-      if (bucket_stamp_[v] != bucket_run_) {
-        bucket_stamp_[v] = bucket_run_;
-        bucket_head_[v] = kNoEntry;
-      }
-      bucket_entries_.push_back(
-          {static_cast<std::uint32_t>(j), d, bucket_head_[v]});
-      bucket_head_[v] = static_cast<std::uint32_t>(bucket_entries_.size()) - 1;
-    }
-  }
-
-  // Join phase: one upward search from the source, scanning the bucket
-  // chain of every vertex it settles.
-  fwd_.Begin(n);
-  fwd_.stamp[source] = fwd_.run;
-  fwd_.dist[source] = 0.0;
-  fwd_.heap.push_back({0.0, source});
-  VertexId v = kInvalidVertex;
-  Distance d = 0.0;
-  while (SettleNext(fwd_, &v, &d)) {
-    if (bucket_stamp_[v] != bucket_run_) continue;
-    for (std::uint32_t e = bucket_head_[v]; e != kNoEntry;
-         e = bucket_entries_[e].next) {
-      const BucketEntry& entry = bucket_entries_[e];
-      const Distance candidate = d + entry.dist;
-      if (candidate < out[entry.target_index]) {
-        out[entry.target_index] = candidate;
-      }
-    }
   }
 }
 

@@ -1,5 +1,5 @@
-// Query workspace over a CHGraph: bidirectional point-to-point, bucket-based
-// one-to-many, and shortest-path unpacking.
+// Query workspace over a CHGraph: bidirectional point-to-point, one-to-many
+// and one-to-all, and shortest-path unpacking.
 //
 // All searches run on the upward graph only (the network is undirected, so
 // the backward/downward side of a query is an upward search from the other
@@ -7,30 +7,22 @@
 // queries via version stamps, exactly like DijkstraEngine; a CHGraph may be
 // shared by any number of workspaces concurrently.
 //
-// The one-to-many query picks between two exact strategies by batch size:
+// One-to-many and one-to-all share one strategy, a PHAST-style downward
+// sweep: one upward search from the source, then one linear pass over the
+// vertices in descending rank order relaxing each vertex from its
+// (already-final) upward neighbors. The pass costs O(n + m) with zero heap
+// operations, so for city-scale graphs it beats per-target hierarchy
+// searches as soon as a batch holds more than a handful of targets, and it
+// answers every vertex at once.
 //
-//  - Small batches use the bucket scheme from the ridesharing-routing
-//    literature (BCH, Buchhold et al.): every target seeds *buckets* along
-//    its upward search space (entries (target, dist) parked at each reached
-//    vertex), then a single upward search from the source joins against the
-//    buckets it passes — t + 1 small hierarchy searches, no full sweep.
-//  - Large batches use a PHAST-style downward sweep: one upward search from
-//    the source, then one linear pass over the vertices in descending rank
-//    order relaxing each vertex from its (already-final) upward neighbors.
-//    The pass costs O(n + m) with zero heap operations, so for city-scale
-//    graphs it beats t per-target upward searches as soon as t exceeds a
-//    small constant — per-target searches are what makes pure BCH lose to
-//    a single Dijkstra drain when buckets cannot be amortized across many
-//    sources.
-//
-// Both strategies return exact distances; they may differ from each other
-// and from PointToPoint in the low bits because floating-point path sums
-// associate differently (bucket joins add fwd + bwd halves, the sweep
-// accumulates top-down). Callers that need bit-stability get it from
-// DistanceOracle's per-epoch memo cache, not from the raw query layer.
+// The sweep returns exact distances; they may differ from PointToPoint in
+// the low bits because floating-point path sums associate differently (the
+// bidirectional query adds fwd + bwd halves, the sweep accumulates
+// top-down). Callers that need bit-stability get it from DistanceOracle's
+// per-request rows and memo, not from the raw query layer.
 //
 // Stall-on-demand prunes the *expansion* of provably suboptimal vertices
-// but keeps their labels, and joins consider every reached vertex, so the
+// but keeps their labels, and meets consider every reached vertex, so the
 // results are exact regardless of stalling; the downward sweep recovers any
 // stalled vertex's true distance through its higher-ranked neighbors.
 
@@ -63,15 +55,16 @@ class CHQuery {
   std::vector<VertexId> Path(VertexId s, VertexId t,
                              Distance* dist = nullptr);
 
-  /// Batch sizes up to this run the bucket strategy; larger ones the
-  /// downward sweep (see the file comment for the trade-off).
-  static constexpr std::size_t kBucketBatchLimit = 8;
-
   /// Exact distances from `source` to every target. `out` must have
   /// targets.size() slots; unreachable targets report kInfDistance.
   /// Duplicate targets are fine (each slot is filled).
   void OneToMany(VertexId source, std::span<const VertexId> targets,
                  std::span<Distance> out);
+
+  /// Exact distances from `source` to every vertex, vertex-indexed. `out`
+  /// must have num_vertices() slots; unreachable vertices report
+  /// kInfDistance. Bit-identical to OneToMany over the same targets.
+  void OneToAll(VertexId source, std::span<Distance> out);
 
   /// Vertices settled across both sides of the most recent query (work
   /// measure; compare with DijkstraEngine::last_settled_count()).
@@ -116,29 +109,14 @@ class CHQuery {
   /// labels in fwd_.
   void RunUpwardFrom(VertexId source);
 
-  void BucketOneToMany(VertexId source, std::span<const VertexId> targets,
-                       std::span<Distance> out);
-  void SweepOneToMany(VertexId source, std::span<const VertexId> targets,
-                      std::span<Distance> out);
+  /// Upward search from `source`, then the downward sweep into
+  /// `sweep_dist_` (indexed by sweep position).
+  void DownwardSweep(VertexId source);
 
   const CHGraph* ch_;
   Side fwd_;
   Side bwd_;
   std::size_t last_settled_count_ = 0;
-
-  // Bucket storage for OneToMany: a stamped per-vertex head index into a
-  // per-call entry pool chained with `next` (cleared in O(1) by bumping the
-  // stamp, filled in O(search space) per target).
-  struct BucketEntry {
-    std::uint32_t target_index;
-    Distance dist;
-    std::uint32_t next;  ///< Index into bucket_entries_, or kNoEntry.
-  };
-  static constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> bucket_head_;
-  std::vector<std::uint32_t> bucket_stamp_;
-  std::uint32_t bucket_run_ = 0;
-  std::vector<BucketEntry> bucket_entries_;
 
   /// Downward-sweep scratch, indexed by sweep position (descending rank):
   /// every slot is overwritten on each sweep, so it needs no stamps or

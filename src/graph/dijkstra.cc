@@ -41,7 +41,7 @@ void DijkstraEngine::Seed(VertexId v, Distance dist, std::uint32_t label) {
   std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
 }
 
-void DijkstraEngine::Run(VertexId stop_vertex, Distance radius) {
+void DijkstraEngine::Run(VertexId stop_vertex) {
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
     const QueueEntry top = heap_.back();
@@ -49,7 +49,6 @@ void DijkstraEngine::Run(VertexId stop_vertex, Distance radius) {
     const VertexId u = top.vertex;
     if (settled_[u] && stamp_[u] == run_stamp_) continue;  // stale entry
     if (top.dist > dist_[u]) continue;                     // stale entry
-    if (top.dist > radius) return;
     settled_[u] = 1;
     ++last_settled_count_;
     if (target_stamp_[u] == run_stamp_ && is_target_[u]) {
@@ -86,14 +85,14 @@ Distance DijkstraEngine::PointToPoint(VertexId s, VertexId t) {
   }
   BeginRun();
   Seed(s, 0.0, 0);
-  Run(t, kInfDistance);
+  Run(t);
   return Dist(t);
 }
 
 void DijkstraEngine::SingleSource(VertexId s) {
   BeginRun();
   Seed(s, 0.0, 0);
-  Run(kInvalidVertex, kInfDistance);
+  Run(kInvalidVertex);
 }
 
 void DijkstraEngine::SingleSourceToTargets(VertexId s,
@@ -109,14 +108,8 @@ void DijkstraEngine::SingleSourceToTargets(VertexId s,
   }
   Seed(s, 0.0, 0);
   if (targets_remaining_ > 0) {
-    Run(kInvalidVertex, kInfDistance);
+    Run(kInvalidVertex);
   }
-}
-
-void DijkstraEngine::BoundedSingleSource(VertexId s, Distance radius) {
-  BeginRun();
-  Seed(s, 0.0, 0);
-  Run(kInvalidVertex, radius);
 }
 
 void DijkstraEngine::MultiSource(std::span<const DijkstraSource> sources) {
@@ -124,7 +117,7 @@ void DijkstraEngine::MultiSource(std::span<const DijkstraSource> sources) {
   for (const DijkstraSource& src : sources) {
     Seed(src.vertex, src.offset, src.label);
   }
-  Run(kInvalidVertex, kInfDistance);
+  Run(kInvalidVertex);
 }
 
 std::vector<VertexId> DijkstraEngine::PathTo(VertexId t) const {

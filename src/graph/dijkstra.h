@@ -49,9 +49,6 @@ class DijkstraEngine {
   /// targets (disconnected) report kInfDistance.
   void SingleSourceToTargets(VertexId s, std::span<const VertexId> targets);
 
-  /// Single-source run that only settles vertices within `radius` of s.
-  void BoundedSingleSource(VertexId s, Distance radius);
-
   /// Full multi-source run seeded with per-source offsets and labels.
   void MultiSource(std::span<const DijkstraSource> sources);
 
@@ -97,9 +94,9 @@ class DijkstraEngine {
 
   void BeginRun();
   void Seed(VertexId v, Distance dist, std::uint32_t label);
-  /// Core loop. Stops when `stop_vertex` is settled (if valid), when the
-  /// frontier exceeds `radius`, or when `targets_remaining` hits zero.
-  void Run(VertexId stop_vertex, Distance radius);
+  /// Core loop. Stops when `stop_vertex` is settled (if valid) or when
+  /// `targets_remaining` hits zero.
+  void Run(VertexId stop_vertex);
 
   const RoadNetwork* graph_;
   std::vector<Distance> dist_;

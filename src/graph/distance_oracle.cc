@@ -33,7 +33,63 @@ DistanceOracle::DistanceOracle(const RoadNetwork* graph, const CHGraph* ch)
   }
   component_ = ConnectedComponents(*graph).label;
   cache_.reserve(kDefaultCacheReserve);
-  warm_.reserve(kDefaultCacheReserve);
+}
+
+void DistanceOracle::BeginRequest(VertexId s, VertexId d) {
+  cache_.clear();
+  rows_[0].anchor = s;
+  rows_[1].anchor = d;
+  for (Row& row : rows_) row.filled = false;
+}
+
+DistanceOracle::Row* DistanceOracle::RowFor(VertexId a, VertexId b,
+                                            VertexId* other) {
+  for (Row& row : rows_) {
+    if (row.anchor == a) {
+      *other = b;
+      return &row;
+    }
+    if (row.anchor == b) {
+      *other = a;
+      return &row;
+    }
+  }
+  return nullptr;
+}
+
+Distance DistanceOracle::ReadRow(Row& row, VertexId v) {
+  if (!row.filled) FillRow(row);
+  Distance& d = row.dist[v];
+  if (!row.read[v]) {
+    row.read[v] = 1;
+    ++compdists_;
+    ++batch_stats_.warm_hits;
+    if (d != kInfDistance && fault_hook_ && fault_hook_(row.anchor, v)) {
+      ++faults_;
+      d = kInfDistance;
+    }
+  }
+  return d;
+}
+
+void DistanceOracle::FillRow(Row& row) {
+  obs::TraceSpan span("oracle_row");
+  span.AddArg("anchor", row.anchor);
+  const std::size_t n = graph_->num_vertices();
+  row.dist.resize(n);
+  row.read.assign(n, 0);
+  std::size_t settled = 0;
+  if (ch_query_ != nullptr) {
+    ch_query_->OneToAll(row.anchor, row.dist);
+    settled = ch_query_->last_settled_count();
+  } else {
+    engine_.SingleSource(row.anchor);
+    for (VertexId v = 0; v < n; ++v) row.dist[v] = engine_.Dist(v);
+    settled = engine_.last_settled_count();
+  }
+  span.AddArg("settled", static_cast<std::int64_t>(settled));
+  ++batch_stats_.sweeps;
+  row.filled = true;
 }
 
 Distance DistanceOracle::ComputePointToPoint(VertexId a, VertexId b) {
@@ -72,28 +128,19 @@ void DistanceOracle::ComputeSweep(VertexId source) {
 
 Distance DistanceOracle::Dist(VertexId a, VertexId b) {
   if (a == b) return 0.0;
+  VertexId other = kInvalidVertex;
+  if (Row* row = RowFor(a, b, &other)) return ReadRow(*row, other);
   const std::uint64_t key = Key(a, b);
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
-  if (!warm_.empty()) {
-    auto wit = warm_.find(key);
-    if (wit != warm_.end()) {
-      // Promote a prefetched pair: this is the moment an unbatched run
-      // would have computed it, so this is the moment it counts.
-      ++compdists_;
-      ++batch_stats_.warm_hits;
-      cache_.emplace(key, wit->second);
-      return wit->second;
-    }
-  }
   if (!SameComponent(a, b)) {
     // Unreachable: counted and cached like any computation, no search.
     ++compdists_;
     cache_.emplace(key, kInfDistance);
     return kInfDistance;
   }
-  // Only the real search gets a span: cache and warm hits are nanosecond
-  // paths and are accounted by BatchStats counters instead.
+  // Only the real search gets a span: row reads and cache hits are
+  // nanosecond paths and are accounted by BatchStats counters instead.
   PTAR_TRACE_SPAN("oracle_p2p");
   const Distance d = ComputePointToPoint(a, b);
   ++compdists_;
@@ -109,7 +156,7 @@ void DistanceOracle::BatchDist(VertexId source,
   out->clear();
   out->resize(targets.size(), kInfDistance);
 
-  // Pass 1: serve what the cache (or warm store) already has and collect the
+  // Pass 1: serve what the rows or the cache already have and collect the
   // distinct pairs that genuinely need a search.
   sweep_targets_.clear();
   std::size_t pending = 0;
@@ -119,18 +166,15 @@ void DistanceOracle::BatchDist(VertexId source,
       (*out)[i] = 0.0;
       continue;
     }
+    VertexId other = kInvalidVertex;
+    if (Row* row = RowFor(source, t, &other)) {
+      (*out)[i] = ReadRow(*row, other);
+      continue;
+    }
     const std::uint64_t key = Key(source, t);
     if (auto it = cache_.find(key); it != cache_.end()) {
       (*out)[i] = it->second;
       ++batch_stats_.pairs_from_cache;
-      continue;
-    }
-    if (auto wit = warm_.find(key); wit != warm_.end()) {
-      // Same promotion rule as Dist(): counted on first real use.
-      ++compdists_;
-      ++batch_stats_.warm_hits;
-      cache_.emplace(key, wit->second);
-      (*out)[i] = wit->second;
       continue;
     }
     // Mark as pending so a duplicate later in `targets` is not swept (or
@@ -151,11 +195,10 @@ void DistanceOracle::BatchDist(VertexId source,
     batch_stats_.pairs_swept += pending;
     compdists_ += pending;
     if (!sweep_targets_.empty()) {
-      // One sweep settles every pending target with bit-identical values to
-      // per-target PointToPoint(source, t) runs: Dijkstra's heap evolution
-      // up to each settlement is independent of the stopping rule, and the
-      // CH bucket join minimizes the same label sums as the bidirectional
-      // query.
+      // On Dijkstra one sweep settles every pending target with values
+      // bit-identical to per-target PointToPoint(source, t) runs: the heap
+      // evolution up to each settlement is independent of the stopping
+      // rule.
       obs::TraceSpan span("oracle_sweep");
       span.AddArg("targets",
                   static_cast<std::int64_t>(sweep_targets_.size()));
@@ -167,38 +210,16 @@ void DistanceOracle::BatchDist(VertexId source,
   }
 
   // Pass 2: fill the slots that were pending (including duplicates).
+  VertexId other = kInvalidVertex;
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const VertexId t = targets[i];
-    if (t == source || (*out)[i] != kInfDistance) continue;
+    if (t == source || (*out)[i] != kInfDistance ||
+        RowFor(source, t, &other) != nullptr) {
+      continue;
+    }
     const auto it = cache_.find(Key(source, t));
     PTAR_DCHECK(it != cache_.end());
     (*out)[i] = it->second;
-  }
-}
-
-void DistanceOracle::WarmFrom(VertexId source,
-                              std::span<const VertexId> targets) {
-  sweep_targets_.clear();
-  std::size_t pending = 0;
-  for (const VertexId t : targets) {
-    if (t == source) continue;
-    const std::uint64_t key = Key(source, t);
-    if (cache_.contains(key)) continue;
-    // emplace doubles as the dedup check within this batch; as in
-    // BatchDist, the kInfDistance marker is already correct for
-    // different-component targets.
-    if (warm_.emplace(key, kInfDistance).second) {
-      ++pending;
-      if (SameComponent(source, t)) sweep_targets_.push_back(t);
-    }
-  }
-  if (pending > 0) ++batch_stats_.sweeps;
-  if (sweep_targets_.empty()) return;
-  obs::TraceSpan span("oracle_warm_sweep");
-  span.AddArg("targets", static_cast<std::int64_t>(sweep_targets_.size()));
-  ComputeSweep(source);
-  for (std::size_t i = 0; i < sweep_targets_.size(); ++i) {
-    warm_[Key(source, sweep_targets_[i])] = sweep_dists_[i];
   }
 }
 

@@ -3,49 +3,45 @@
 // The paper's main cost measure besides wall-clock time is "compdists": the
 // number of shortest-path distance computations an algorithm performs. Every
 // matcher draws distances exclusively through a DistanceOracle so the count
-// is uniform across BA / SSA / DSA. A per-oracle memo cache means a pair is
-// computed (and counted) at most once until the cache is cleared; matchers
-// clear it per request.
+// is uniform across BA / SSA / DSA: one compdist per distinct pair read
+// within a request, however the value was produced.
 //
-// Two interchangeable exact backends sit below the cache:
-//  - kDijkstra (default): plain Dijkstra sweeps (DijkstraEngine), one
-//    one-to-many sweep per batch.
+// Two interchangeable exact backends sit below the oracle:
+//  - kDijkstra (default): plain Dijkstra searches (DijkstraEngine).
 //  - kCH: contraction-hierarchy queries (CHQuery over a shared prebuilt
-//    CHGraph) — bidirectional point-to-point; one-to-many via buckets for
-//    small batches or a PHAST-style downward sweep for large ones.
+//    CHGraph) — bidirectional point-to-point, one-to-all by a PHAST-style
+//    downward sweep.
 // Both are exact; compdist accounting and BatchStats semantics are
 // backend-independent. Values may differ between backends in the low bits
 // (floating-point sums associate differently along shortcuts), which is
 // inside the tolerance every cross-implementation comparison in this
 // codebase already applies.
 //
-// Bit-determinism contract: within one cache epoch (between ClearCache
-// calls) every query for a pair returns the exact same double, because the
-// first computation is memoized under a symmetric key. The value is the
-// backend's result in the direction the pair was first asked, which is
-// itself deterministic for a deterministic query sequence. On kDijkstra,
-// BatchDist(s, ts) is additionally bit-identical to the equivalent serial
-// Dist calls: a sweep settles every target with exactly the value
-// PointToPoint(s, t) would produce (the heap evolution up to t's
-// settlement does not depend on the stopping rule). On kCH, batch and
-// serial answers for the same pair may differ in the low bits when the
-// batch takes the downward-sweep path (its sums associate top-down while
-// the bidirectional query adds fwd + bwd halves) — the memo cache still
-// makes whichever value was computed first the epoch-stable answer.
+// Two rows per request. Every distance a matcher reads has the request's
+// pickup s or dropoff d as one endpoint, except the kinetic tree's Refresh
+// legs. BeginRequest(s, d) anchors row 0 at s and row 1 at d; a Dist(a, b)
+// with s as an endpoint reads s's row, otherwise one with d reads d's row,
+// and everything else goes to the memo and a point-to-point search. A row
+// is one full one-to-all search from its anchor, run on the row's first
+// read (so a request that never reads d's row never fills it) into arrays
+// allocated on the first fill (so an oracle that never anchors pays
+// nothing). A per-row read mark counts each pair once per request.
 //
-// Two tiers of batching:
-//  - BatchDist: for pairs the caller is *guaranteed* to need. Counts one
-//    compdist per uncached pair, exactly like the equivalent serial Dist
-//    calls, so the paper's Section VII accounting is unchanged.
-//  - WarmFrom: speculative prefetch for pairs a pruning hook may skip.
-//    Sweeps the targets but parks the results in an uncounted side store;
-//    Dist() promotes a warmed pair into the real cache and counts it at
-//    that moment — the same moment a serial run would have computed it.
+// Bit-determinism contract: within one request (between BeginRequest or
+// ClearCache calls) every query for a pair returns the exact same double.
+// A row pair's value is its anchor's one-to-all value; a memo pair's value
+// is the backend's result in the direction the pair was first asked. On
+// kDijkstra a row value is bit-identical to PointToPoint(anchor, v) — the
+// heap evolution up to v's settlement does not depend on the stopping rule
+// — and so is BatchDist(src, ts) to the equivalent serial Dist calls. On
+// kCH the downward sweep associates its sums top-down while the
+// bidirectional query adds fwd + bwd halves, so row or batch values and
+// point-to-point values for the same pair may differ in the low bits.
 //
 // Connected-component labels (computed once at construction) short-circuit
-// unreachable pairs: they are answered kInfDistance — still cached and
-// counted exactly as before — without running a search, so a sweep with
-// unreachable targets no longer drains the whole component's queue.
+// unreachable memo pairs: they are answered kInfDistance — still cached and
+// counted — without running a search. A row reads kInfDistance for every
+// vertex its search does not reach.
 
 #ifndef PTAR_GRAPH_DISTANCE_ORACLE_H_
 #define PTAR_GRAPH_DISTANCE_ORACLE_H_
@@ -71,7 +67,7 @@ namespace ptar {
 /// Which exact shortest-path engine serves a DistanceOracle's misses.
 enum class DistanceBackend {
   kDijkstra,  ///< Plain Dijkstra sweeps; no preprocessing.
-  kCH,        ///< Contraction hierarchy + bucket one-to-many queries.
+  kCH,        ///< Contraction hierarchy + downward-sweep one-to-all.
 };
 
 /// "dijkstra" / "ch" (the --distance_backend flag vocabulary).
@@ -99,33 +95,31 @@ class DistanceOracle {
     return ch_ == nullptr ? DistanceBackend::kDijkstra : DistanceBackend::kCH;
   }
 
+  /// Starts a request: drops the memo (keeping its bucket capacity) and
+  /// anchors row 0 at `s` and row 1 at `d`. Rows are filled on first read.
+  void BeginRequest(VertexId s, VertexId d);
+
   /// Exact shortest-path distance between a and b (undirected, so symmetric).
-  /// Counts one compdist unless the pair is already cached.
+  /// Reads s's row when s is an endpoint, else d's row when d is one, else
+  /// the memo. Counts one compdist the first time a pair is read.
   Distance Dist(VertexId a, VertexId b);
 
   /// Distances from `source` to every target, in target order, via (at most)
   /// one one-to-many query. Semantically identical — including compdist
   /// accounting and returned bits — to calling Dist(source, t) for each t in
-  /// order: cached pairs are served from the cache, every distinct uncached
-  /// pair counts exactly one compdist, duplicates count once, and
-  /// source==target pairs are 0.0 and free. `out` is resized to
-  /// targets.size().
+  /// order: row pairs are read from their row, cached pairs are served from
+  /// the cache, every distinct uncached pair counts exactly one compdist,
+  /// duplicates count once, and source==target pairs are 0.0 and free.
+  /// `out` is resized to targets.size().
   void BatchDist(VertexId source, std::span<const VertexId> targets,
                  std::vector<Distance>* out);
-
-  /// Speculative prefetch: one sweep from `source` covering every target not
-  /// already cached or warmed. Counts **no** compdists and does not populate
-  /// the memo cache; results wait in a side store until a Dist() call
-  /// promotes (and counts) them. Safe to over-approximate the target set —
-  /// pairs never asked for are never counted.
-  void WarmFrom(VertexId source, std::span<const VertexId> targets);
 
   /// Shortest path (vertex sequence) between a and b. Counts one compdist and
   /// caches the endpoint distance. Empty if b is unreachable.
   std::vector<VertexId> Path(VertexId a, VertexId b);
 
-  /// Number of actual point-to-point computations since construction or the
-  /// last ResetStats().
+  /// Distance computations — distinct pairs read per request — since
+  /// construction or the last ResetStats().
   std::uint64_t compdists() const { return compdists_; }
   void ResetStats() {
     compdists_ = 0;
@@ -134,12 +128,14 @@ class DistanceOracle {
 
   /// Fault-injection seam (src/check): the hook is consulted once per pair
   /// on every *actual* backend computation (point-to-point or per sweep
-  /// target) — never for cached, warmed, or different-component pairs.
-  /// Returning true makes the oracle answer kInfDistance for that pair,
-  /// which is then cached and counted exactly like a real computation; the
-  /// hook body may also sleep to emulate a slow backend. Decisions must be
-  /// a pure function of the pair (plus hook-internal seeds) to preserve
-  /// the oracle's determinism contract. Pass nullptr to uninstall.
+  /// target) and on a row pair's first read in a request, as
+  /// hook(anchor, v) — never for cached pairs or pairs the search did not
+  /// reach. Returning true makes the oracle answer kInfDistance for that
+  /// pair for the rest of the request, counted exactly like a real
+  /// computation; the hook body may also sleep to emulate a slow backend
+  /// (on a row, per pair read, never inside the fill). Decisions must be a
+  /// pure function of the pair (plus hook-internal seeds) to preserve the
+  /// oracle's determinism contract. Pass nullptr to uninstall.
   using FaultHook = std::function<bool(VertexId, VertexId)>;
   void SetFaultHook(FaultHook hook) { fault_hook_ = std::move(hook); }
   bool has_fault_hook() const { return static_cast<bool>(fault_hook_); }
@@ -148,17 +144,16 @@ class DistanceOracle {
   /// Matchers use a nonzero count to tag their result `complete = false`.
   std::uint64_t faults() const { return faults_; }
 
-  /// Batching instrumentation (sweeps run, pairs per sweep, warm hits).
+  /// Batching instrumentation (sweeps and row fills run, pairs per sweep,
+  /// first reads served by a row).
   const BatchStats& batch_stats() const { return batch_stats_; }
   void ResetBatchStats() { batch_stats_ = BatchStats{}; }
 
-  /// Drops all memoized pairs (typically between requests) but keeps the
-  /// tables' bucket capacity, so steady-state request processing does not
-  /// rehash every request.
-  void ClearCache() {
-    cache_.clear();
-    warm_.clear();
-  }
+  /// Drops all memoized pairs and both row anchors, so every later Dist is
+  /// a memo read or a point-to-point search in the asked direction. Keeps
+  /// the memo's bucket capacity, so steady-state request processing does
+  /// not rehash every request.
+  void ClearCache() { BeginRequest(kInvalidVertex, kInvalidVertex); }
   std::size_t cache_size() const { return cache_.size(); }
   std::size_t cache_bucket_count() const { return cache_.bucket_count(); }
 
@@ -176,6 +171,29 @@ class DistanceOracle {
   bool SameComponent(VertexId a, VertexId b) const {
     return component_[a] == component_[b];
   }
+
+  /// One one-to-all search result, anchored at a request endpoint.
+  struct Row {
+    VertexId anchor = kInvalidVertex;
+    bool filled = false;
+    /// Vertex-indexed distances from the anchor (kInfDistance where the
+    /// search did not reach); allocated on the first fill.
+    std::vector<Distance> dist;
+    /// read[v] != 0 once pair (anchor, v) was read this request. Every
+    /// request refills its rows, so the fill clears the marks.
+    std::vector<char> read;
+  };
+
+  /// The row serving pair (a, b) — s's row if s is an endpoint, else d's —
+  /// or null; *other receives the endpoint that is not the anchor.
+  Row* RowFor(VertexId a, VertexId b, VertexId* other);
+
+  /// Reads (anchor, v) from `row`, filling the row first if needed; counts
+  /// the pair and consults the fault hook on its first read this request.
+  Distance ReadRow(Row& row, VertexId v);
+
+  /// Runs the anchor's one-to-all search into the row.
+  void FillRow(Row& row);
 
   /// Backend dispatch for an uncached point-to-point pair (reachability
   /// already checked).
@@ -199,14 +217,13 @@ class DistanceOracle {
   /// are answered without a search.
   std::vector<int> component_;
   std::unordered_map<std::uint64_t, Distance> cache_;
-  /// Uncounted prefetch results from WarmFrom; promoted into cache_ (and
-  /// counted) on first Dist() use.
-  std::unordered_map<std::uint64_t, Distance> warm_;
+  /// Row 0 is anchored at the request's s, row 1 at its d.
+  Row rows_[2];
   std::uint64_t compdists_ = 0;
   std::uint64_t faults_ = 0;
   FaultHook fault_hook_;
   BatchStats batch_stats_;
-  /// Scratch for BatchDist/WarmFrom (avoids per-call allocation).
+  /// Scratch for BatchDist (avoids per-call allocation).
   std::vector<VertexId> sweep_targets_;
   std::vector<Distance> sweep_dists_;
 };

@@ -113,17 +113,6 @@ class BranchStore {
 
   // --- Traversal. ---
 
-  /// Visits every live node once, in slot order (free-listed slots are
-  /// skipped by their kInvalidRequest marker). A flat SoA scan: no pointer
-  /// chasing, shared prefixes visited once — not once per branch.
-  template <typename Fn>
-  void ForEachLiveNode(Fn&& fn) const {
-    for (std::size_t i = 0; i < type_.size(); ++i) {
-      if (request_[i] == kInvalidRequest) continue;
-      fn(static_cast<NodeId>(i));
-    }
-  }
-
   /// Depth-1 ancestor of `leaf` (the branch's first stop).
   NodeId FirstOnPath(NodeId leaf) const;
   std::size_t Depth(NodeId leaf) const;

@@ -167,16 +167,6 @@ class KineticTree {
   /// First waypoint of the active schedule, or kInvalidVertex if idle.
   VertexId NextStopLocation() const;
 
-  /// Visits the location of every live stop node exactly once (a shared
-  /// prefix is not repeated per branch). Cheaper than materializing
-  /// branches when only the set of points matters, e.g. distance prefetch
-  /// warmup.
-  template <typename Fn>
-  void ForEachStopLocation(Fn&& fn) const {
-    store_.ForEachLiveNode(
-        [&](BranchStore::NodeId n) { fn(store_.location(n)); });
-  }
-
   /// Branch cap in force (kUnlimitedBranches by default).
   std::size_t max_branches() const { return max_branches_; }
   /// Branches discarded by the cap across the tree's lifetime, and the

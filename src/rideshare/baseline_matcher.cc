@@ -9,7 +9,7 @@ namespace ptar {
 
 MatchResult BaselineMatcher::Match(const Request& request, MatchContext& ctx) {
   Timer timer;
-  ctx.oracle->ClearCache();
+  ctx.oracle->BeginRequest(request.start, request.destination);
   ctx.oracle->ResetStats();
 
   internal::RequestEnv env;
@@ -27,27 +27,18 @@ MatchResult BaselineMatcher::Match(const Request& request, MatchContext& ctx) {
           ? internal::MakeEllipseHooks(env, *ctx.prune, skyline, &stats)
           : InsertionHooks{};
 
-  // BA verifies the whole fleet, so the whole fleet is one candidate batch.
-  // Only empty vehicles the group can board go into the counted batch:
-  // VerifyEmptyVehicle computes no distance for the others.
-  std::vector<VehicleId> batch_empty;
-  std::vector<VehicleId> batch_nonempty;
+  // BA verifies the whole fleet; the empty vehicles the group can board go
+  // first (VerifyEmptyVehicle computes no distance for the others).
+  std::vector<VehicleId> boardable_empties;
   {
     obs::TraceSpan span("collect");
     for (const KineticTree& tree : *ctx.fleet) {
-      if (tree.IsEmpty()) {
-        if (tree.capacity() >= request.riders) {
-          batch_empty.push_back(tree.vehicle());
-        }
-      } else {
-        batch_nonempty.push_back(tree.vehicle());
+      if (tree.IsEmpty() && tree.capacity() >= request.riders) {
+        boardable_empties.push_back(tree.vehicle());
       }
     }
-    span.AddArg("empty", static_cast<std::int64_t>(batch_empty.size()));
-    span.AddArg("nonempty",
-                static_cast<std::int64_t>(batch_nonempty.size()));
+    span.AddArg("empty", static_cast<std::int64_t>(boardable_empties.size()));
   }
-  internal::PrefetchBatchDistances(env, ctx, batch_empty, batch_nonempty);
 
   bool complete = true;
   {
@@ -58,8 +49,8 @@ MatchResult BaselineMatcher::Match(const Request& request, MatchContext& ctx) {
     // the skyline: each verification is pure per vehicle, the skyline keeps
     // the non-dominated set whatever the insertion order, and pruning
     // removes only dominated candidates.
-    internal::OrderEmptiesForVerification(env, ctx, &batch_empty);
-    for (const VehicleId v : batch_empty) {
+    internal::OrderEmptiesForVerification(env, ctx, &boardable_empties);
+    for (const VehicleId v : boardable_empties) {
       if (internal::BudgetExhausted(ctx)) {
         complete = false;
         break;

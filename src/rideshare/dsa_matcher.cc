@@ -11,7 +11,7 @@ namespace ptar {
 
 MatchResult DsaMatcher::Match(const Request& request, MatchContext& ctx) {
   Timer timer;
-  ctx.oracle->ClearCache();
+  ctx.oracle->BeginRequest(request.start, request.destination);
   ctx.oracle->ResetStats();
 
   internal::RequestEnv env;
@@ -74,8 +74,6 @@ MatchResult DsaMatcher::Match(const Request& request, MatchContext& ctx) {
       // Under GeoPrune, verify the tightest-bound empty first so its option
       // seeds the skyline for the dominance check (no-op otherwise).
       internal::OrderEmptiesForVerification(env, ctx, &empty_candidates);
-      // Counted batch for the empty candidates' pickup distances.
-      internal::PrefetchBatchDistances(env, ctx, empty_candidates, {});
       PTAR_TRACE_SPAN("verify");
       for (const VehicleId v : empty_candidates) {
         if (internal::BudgetExhausted(ctx)) {
@@ -109,9 +107,6 @@ MatchResult DsaMatcher::Match(const Request& request, MatchContext& ctx) {
         if (s_candidate[v] && !verified[v]) to_verify.push_back(v);
       }
     }
-    // Warm the intersection batch from both query endpoints before the
-    // per-vehicle enumerations (dual-sided: start and destination sweeps).
-    internal::PrefetchBatchDistances(env, ctx, {}, to_verify);
     PTAR_TRACE_SPAN("verify");
     for (const VehicleId v : to_verify) {
       if (verified[v]) continue;  // could appear twice in one round

@@ -9,7 +9,7 @@ namespace ptar {
 
 MatchResult GridScanMatcher::Match(const Request& request, MatchContext& ctx) {
   Timer timer;
-  ctx.oracle->ClearCache();
+  ctx.oracle->BeginRequest(request.start, request.destination);
   ctx.oracle->ResetStats();
 
   internal::RequestEnv env;
@@ -54,9 +54,8 @@ MatchResult GridScanMatcher::Match(const Request& request, MatchContext& ctx) {
     // Under GeoPrune, verify the tightest-bound empty first so its option
     // seeds the skyline for the dominance check (no-op otherwise).
     internal::OrderEmptiesForVerification(env, ctx, &batch);
-    // Same counted batch + verification as the full matchers, so option
-    // values are bit-identical to what BA/SSA/DSA emit for these vehicles.
-    internal::PrefetchBatchDistances(env, ctx, batch, {});
+    // Same verification as the full matchers, so option values are
+    // bit-identical to what BA/SSA/DSA emit for these vehicles.
     for (const VehicleId v : batch) {
       if (internal::BudgetExhausted(ctx)) {
         complete = false;

@@ -518,50 +518,6 @@ void CollectDestCandidates(CellId cell, const RequestEnv& env,
   }
 }
 
-void CollectSchedulePoints(const KineticTree& tree,
-                           std::vector<VertexId>* out) {
-  out->push_back(tree.location());
-  tree.ForEachStopLocation([&](VertexId v) { out->push_back(v); });
-}
-
-void PrefetchBatchDistances(const RequestEnv& env, MatchContext& ctx,
-                            std::span<const VehicleId> empty_candidates,
-                            std::span<const VehicleId> nonempty_candidates) {
-  if (empty_candidates.empty() && nonempty_candidates.empty()) return;
-  // Counted BatchDist pairs are work the serial path would also perform;
-  // WarmFrom sweeps are uncounted here and charged on promotion, exactly
-  // mirroring the compdists accounting.
-  obs::TraceSpan span("prefetch");
-  span.AddArg("empty", static_cast<std::int64_t>(empty_candidates.size()));
-  span.AddArg("nonempty",
-              static_cast<std::int64_t>(nonempty_candidates.size()));
-  // Prefetch is advisory: any pair skipped here is computed (and charged)
-  // on demand by the verify path, which checks the budget between vehicles.
-  // Under a limited budget the fleet-wide batch is skipped outright — a
-  // batch against a slow or faulted oracle is uninterruptible and would
-  // carry the request far past the cooperative deadline stop, while the
-  // on-demand path pays for exactly the pairs the surviving vehicles need.
-  if (ctx.budget != nullptr && ctx.budget->limited()) return;
-  BudgetScope budget(ctx, /*base_units=*/0);
-  if (!empty_candidates.empty()) {
-    std::vector<VertexId> locations;
-    locations.reserve(empty_candidates.size());
-    for (const VehicleId v : empty_candidates) {
-      locations.push_back((*ctx.fleet)[v].location());
-    }
-    std::vector<Distance> dists;
-    ctx.oracle->BatchDist(env.request->start, locations, &dists);
-  }
-  if (!nonempty_candidates.empty()) {
-    std::vector<VertexId> points;
-    for (const VehicleId v : nonempty_candidates) {
-      CollectSchedulePoints((*ctx.fleet)[v], &points);
-    }
-    ctx.oracle->WarmFrom(env.request->start, points);
-    ctx.oracle->WarmFrom(env.request->destination, points);
-  }
-}
-
 std::size_t VerifiedCellLimit(std::size_t num_cells, double fraction) {
   if (num_cells == 0) return 0;
   const double raw = fraction * static_cast<double>(num_cells);

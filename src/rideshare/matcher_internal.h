@@ -124,32 +124,6 @@ void CollectDestCandidates(CellId cell, const RequestEnv& env,
                            std::vector<char>& emitted, MatchStats& stats,
                            std::vector<VehicleId>* out);
 
-/// Appends every point an insertion enumeration can query a distance
-/// against for `tree`: the current location plus all stops of all branches.
-void CollectSchedulePoints(const KineticTree& tree,
-                           std::vector<VertexId>* out);
-
-/// Batched distance prologue for one collected candidate batch.
-///
-/// Empty candidates: one *counted* BatchDist from request.start to their
-/// locations — VerifyEmptyVehicle computes exactly those pairs
-/// unconditionally (capacity was already filtered during collection), so
-/// compdist accounting is unchanged.
-///
-/// Non-empty candidates: *uncounted* WarmFrom sweeps over their schedule
-/// points, from request.start and request.destination. Enumeration may skip
-/// any of these pairs (seat checks, lemma hooks), so they are only counted
-/// when Dist() actually promotes them — the same moment an unbatched run
-/// would have computed them.
-///
-/// Every matcher must issue the same prefetch shape so that each
-/// distance pair is first computed in the same sweep direction everywhere;
-/// that keeps option values bit-identical across BA / SSA / DSA, which the
-/// skyline-equivalence guarantees rely on for exact dominance ties.
-void PrefetchBatchDistances(const RequestEnv& env, MatchContext& ctx,
-                            std::span<const VehicleId> empty_candidates,
-                            std::span<const VehicleId> nonempty_candidates);
-
 /// Number of cells a partial-grid search visits for the configured fraction
 /// (paper Section VII.A, "number of verified grids"): at least one, at most
 /// all.

@@ -9,7 +9,7 @@ namespace ptar {
 
 MatchResult SsaMatcher::Match(const Request& request, MatchContext& ctx) {
   Timer timer;
-  ctx.oracle->ClearCache();
+  ctx.oracle->BeginRequest(request.start, request.destination);
   ctx.oracle->ResetStats();
 
   internal::RequestEnv env;
@@ -59,9 +59,6 @@ MatchResult SsaMatcher::Match(const Request& request, MatchContext& ctx) {
     // Under GeoPrune, verify the tightest-bound empty first so its option
     // seeds the skyline for the dominance check (no-op otherwise).
     internal::OrderEmptiesForVerification(env, ctx, &empty_candidates);
-    // One batched sweep per cell batch instead of per-pair searches.
-    internal::PrefetchBatchDistances(env, ctx, empty_candidates,
-                                     nonempty_candidates);
     PTAR_TRACE_SPAN("verify");
     for (const VehicleId v : empty_candidates) {
       if (internal::BudgetExhausted(ctx)) {

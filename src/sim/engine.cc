@@ -12,6 +12,9 @@ namespace {
 
 constexpr double kTimeEps = 1e-9;
 constexpr Distance kDistEps = 1e-9;
+/// Simulation step: vehicles advance kDefaultSpeedMetersPerSec * kTickSeconds
+/// meters per step.
+constexpr double kTickSeconds = 1.0;
 
 }  // namespace
 
@@ -307,8 +310,8 @@ void Engine::TickVehicle(VehicleId v, double budget_meters) {
 
 void Engine::AdvanceTo(double time) {
   while (now_ + kTimeEps < time) {
-    const double dt = std::min(options_.tick_seconds, time - now_);
-    const double budget = options_.speed_mps * dt;
+    const double dt = std::min(kTickSeconds, time - now_);
+    const double budget = kDefaultSpeedMetersPerSec * dt;
     for (VehicleId v = 0; v < fleet_.size(); ++v) {
       TickVehicle(v, budget);
     }

@@ -66,8 +66,6 @@ bool ParsePruneMode(const std::string& text, PruneMode* out);
 struct EngineOptions {
   int num_vehicles = 500;
   int vehicle_capacity = 4;  ///< Paper default: 4 seats.
-  double speed_mps = kDefaultSpeedMetersPerSec;
-  double tick_seconds = 1.0;
   ChoicePolicy policy = ChoicePolicy::kMinPrice;
   std::uint64_t seed = 13;
   /// When non-empty, vehicle i starts at start_vertices[i] instead of a
@@ -97,8 +95,9 @@ struct EngineOptions {
   /// Exact shortest-path engine behind every oracle. kCH builds one
   /// contraction hierarchy at engine construction (counted in
   /// "ch/preprocess_us") shared read-only by all oracles; queries then use
-  /// bidirectional / bucket searches instead of Dijkstra sweeps. Matching
-  /// results are equivalent up to floating-point association of path sums.
+  /// bidirectional searches and downward sweeps instead of Dijkstra.
+  /// Matching results are equivalent up to floating-point association of
+  /// path sums.
   DistanceBackend distance_backend = DistanceBackend::kDijkstra;
   /// Per-request work budgets, deadlines, and the degradation ladder
   /// (sim/overload.h). Disabled by default (no budget, no deadline): the

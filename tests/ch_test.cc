@@ -7,8 +7,8 @@
 // Parity against Dijkstra uses EXPECT_NEAR with a 1e-6 tolerance: a CH
 // distance is the same real-number sum as the Dijkstra distance but the
 // floating-point additions may associate differently along shortcuts.
-// Parity between CH point-to-point and CH one-to-many is exact (==): both
-// minimize over the same per-side label functions.
+// Parity between CH one-to-many and one-to-all is exact (==): both read the
+// same downward sweep.
 
 #include <cmath>
 #include <memory>
@@ -73,12 +73,11 @@ void ExpectOneToManyParity(const RoadNetwork& g, std::uint64_t seed,
   CHQuery query(&ch);
   DijkstraEngine dijkstra(&g);
   const VertexId source = SampleVertices(g, 1, seed)[0];
-  // Large batch (downward-sweep path), including duplicates and the source.
+  // A batch including duplicates and the source.
   std::vector<VertexId> ts =
       SampleVertices(g, targets, testing::DeriveSeed(seed, 2));
   ts.push_back(source);
   ts.push_back(ts.front());
-  ASSERT_GT(ts.size(), CHQuery::kBucketBatchLimit);
   std::vector<Distance> got(ts.size(), -1.0);
   query.OneToMany(source, ts, got);
   for (std::size_t i = 0; i < ts.size(); ++i) {
@@ -88,16 +87,13 @@ void ExpectOneToManyParity(const RoadNetwork& g, std::uint64_t seed,
     // parity with PointToPoint is NEAR, not bitwise.
     EXPECT_NEAR(got[i], query.PointToPoint(source, ts[i]), kTol);
   }
-  // Small batch (bucket path): joins minimize the same fwd+bwd label sums
-  // as the bidirectional query, so parity is bitwise.
-  const std::vector<VertexId> small(
-      ts.begin(), ts.begin() + CHQuery::kBucketBatchLimit);
-  std::vector<Distance> small_got(small.size(), -1.0);
-  query.OneToMany(source, small, small_got);
-  for (std::size_t i = 0; i < small.size(); ++i) {
-    SCOPED_TRACE("bucket target " + std::to_string(small[i]));
-    EXPECT_EQ(small_got[i], query.PointToPoint(source, small[i]));
-    EXPECT_NEAR(small_got[i], dijkstra.PointToPoint(source, small[i]), kTol);
+  // One-to-all reads the same sweep: bitwise equal to one-to-many at every
+  // target, vertex-indexed, 0 at the source.
+  std::vector<Distance> all(g.num_vertices(), -1.0);
+  query.OneToAll(source, all);
+  EXPECT_EQ(all[source], 0.0);
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    EXPECT_EQ(all[ts[i]], got[i]) << "target " << ts[i];
   }
 }
 
@@ -344,14 +340,19 @@ TEST(DistanceOracleCHTest, BackendParityAndIdenticalAccounting) {
   EXPECT_EQ(dij.batch_stats().pairs_swept, chh.batch_stats().pairs_swept);
   EXPECT_EQ(dij.batch_stats().sweeps, chh.batch_stats().sweeps);
 
-  // Warm + promote behaves the same on both backends.
-  const VertexId ws = 9;
-  const std::vector<VertexId> warm = SampleVertices(g, 10, 302);
-  dij.WarmFrom(ws, warm);
-  chh.WarmFrom(ws, warm);
+  // Request rows behave the same on both backends.
+  const VertexId rs = 9;
+  const VertexId rd = 44;
+  const std::vector<VertexId> reads = SampleVertices(g, 10, 302);
+  dij.BeginRequest(rs, rd);
+  chh.BeginRequest(rs, rd);
   EXPECT_EQ(dij.compdists(), chh.compdists());
-  EXPECT_NEAR(dij.Dist(ws, warm[0]), chh.Dist(ws, warm[0]), kTol);
+  for (const VertexId v : reads) {
+    EXPECT_NEAR(dij.Dist(v, rs), chh.Dist(v, rs), kTol);
+    EXPECT_NEAR(dij.Dist(rd, v), chh.Dist(rd, v), kTol);
+  }
   EXPECT_EQ(dij.batch_stats().warm_hits, chh.batch_stats().warm_hits);
+  EXPECT_EQ(dij.batch_stats().sweeps, chh.batch_stats().sweeps);
   EXPECT_EQ(dij.compdists(), chh.compdists());
 
   // Re-running the identical batch after a cache clear is deterministic

@@ -182,15 +182,6 @@ TEST(DijkstraTest, TargetsMatchBitIdenticalPointToPoint) {
   }
 }
 
-TEST(DijkstraTest, BoundedStopsAtRadius) {
-  const RoadNetwork g = testing::MakeSmallGrid(100.0);
-  DijkstraEngine engine(&g);
-  engine.BoundedSingleSource(0, 150.0);
-  EXPECT_TRUE(engine.Settled(1));
-  EXPECT_TRUE(engine.Settled(3));
-  EXPECT_FALSE(engine.Settled(8));  // 400 away
-}
-
 TEST(DijkstraTest, MultiSourceMinimum) {
   const RoadNetwork g = testing::MakeSmallGrid(100.0);
   DijkstraEngine engine(&g);
@@ -236,15 +227,6 @@ TEST(DijkstraTest, MultiSourceWithNoSourcesReachesNothing) {
     EXPECT_EQ(engine.Dist(v), kInfDistance);
     EXPECT_FALSE(engine.Settled(v));
   }
-}
-
-TEST(DijkstraTest, BoundedRadiusZeroSettlesOnlySource) {
-  const RoadNetwork g = testing::MakeSmallGrid(100.0);
-  DijkstraEngine engine(&g);
-  engine.BoundedSingleSource(4, 0.0);
-  EXPECT_TRUE(engine.Settled(4));
-  EXPECT_DOUBLE_EQ(engine.Dist(4), 0.0);
-  EXPECT_FALSE(engine.Settled(1));
 }
 
 TEST(DijkstraTest, SettledCountTracksWork) {

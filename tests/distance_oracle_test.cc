@@ -2,7 +2,15 @@
 
 #include "graph/distance_oracle.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "graph/ch_graph.h"
+#include "graph/ch_preprocessor.h"
+#include "graph/ch_query.h"
+#include "graph/dijkstra.h"
 
 #include "tests/test_util.h"
 
@@ -170,46 +178,177 @@ TEST(BatchDistTest, UnreachableTargetIsInfinity) {
   EXPECT_EQ(oracle.compdists(), 2u);  // ... and is cached
 }
 
-TEST(WarmFromTest, CountsOnlyOnUse) {
-  const RoadNetwork g = testing::MakeSmallGrid(100.0);
+// --- Request rows ----------------------------------------------------------
+
+TEST(RowTest, DijkstraRowsMatchPointToPointBits) {
+  const RoadNetwork g = testing::MakeRandomConnectedGraph(50, 80, 17);
+  DijkstraEngine engine(&g);
+  const VertexId s = 23;
+  const VertexId d = 41;
   DistanceOracle oracle(&g);
-  const std::vector<VertexId> targets = {8, 4, 2};
-  oracle.WarmFrom(0, targets);
-  EXPECT_EQ(oracle.compdists(), 0u);  // speculative: nothing counted yet
-  EXPECT_EQ(oracle.batch_stats().sweeps, 1u);
-  EXPECT_DOUBLE_EQ(oracle.Dist(8, 0), 400.0);  // promoted (either direction)
-  EXPECT_EQ(oracle.compdists(), 1u);
-  EXPECT_EQ(oracle.batch_stats().warm_hits, 1u);
-  oracle.Dist(0, 8);  // now a plain cache hit
-  // Pairs never asked for ({0,4}, {0,2}) are never counted.
-  EXPECT_EQ(oracle.compdists(), 1u);
+  oracle.BeginRequest(s, d);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const Distance from_s = engine.PointToPoint(s, v);
+    EXPECT_EQ(oracle.Dist(s, v), from_s) << "v=" << v;  // exact bits
+    EXPECT_EQ(oracle.Dist(v, s), from_s) << "v=" << v;
+    if (v == s) continue;  // (d, s) is s's row
+    EXPECT_EQ(oracle.Dist(d, v), engine.PointToPoint(d, v)) << "v=" << v;
+  }
+  // Both directions of (s, d) read s's row: the value of the s -> d search.
+  EXPECT_EQ(oracle.Dist(d, s), engine.PointToPoint(s, d));
+  EXPECT_EQ(oracle.batch_stats().sweeps, 2u);
 }
 
-TEST(WarmFromTest, WarmValueMatchesFreshSweepBits) {
+TEST(RowTest, CountsOnlyOnUse) {
+  const RoadNetwork g = testing::MakeSmallGrid(100.0);
+  DistanceOracle oracle(&g);
+  oracle.BeginRequest(0, 8);
+  EXPECT_EQ(oracle.compdists(), 0u);  // anchoring computes nothing
+  EXPECT_EQ(oracle.batch_stats().sweeps, 0u);
+  EXPECT_DOUBLE_EQ(oracle.Dist(4, 0), 200.0);
+  EXPECT_EQ(oracle.compdists(), 1u);
+  EXPECT_EQ(oracle.batch_stats().sweeps, 1u);  // s's row, filled on use
+  EXPECT_DOUBLE_EQ(oracle.Dist(0, 4), 200.0);  // same pair: free
+  EXPECT_DOUBLE_EQ(oracle.Dist(0, 8), 400.0);
+  EXPECT_DOUBLE_EQ(oracle.Dist(8, 0), 400.0);
+  EXPECT_DOUBLE_EQ(oracle.Dist(2, 8), 200.0);  // d's row
+  EXPECT_DOUBLE_EQ(oracle.Dist(8, 2), 200.0);
+  EXPECT_DOUBLE_EQ(oracle.Dist(1, 2), 100.0);  // neither endpoint: memo
+  EXPECT_DOUBLE_EQ(oracle.Dist(2, 1), 100.0);
+  // Distinct pairs read: {0,4}, {0,8}, {8,2}, {1,2}. Pairs never read are
+  // never counted.
+  EXPECT_EQ(oracle.compdists(), 4u);
+  EXPECT_EQ(oracle.batch_stats().warm_hits, 3u);
+  EXPECT_EQ(oracle.batch_stats().sweeps, 2u);
+  // A new request starts the count over.
+  oracle.BeginRequest(0, 8);
+  oracle.Dist(4, 0);
+  EXPECT_EQ(oracle.compdists(), 5u);
+}
+
+TEST(RowTest, RowValueMatchesFreshSweepBits) {
   const RoadNetwork g = testing::MakeRandomConnectedGraph(40, 70, 9);
-  DistanceOracle warmed(&g);
+  DistanceOracle rowed(&g);
   DistanceOracle batched(&g);
   const VertexId source = 11;
   std::vector<VertexId> targets;
   for (VertexId t = 0; t < g.num_vertices(); t += 2) targets.push_back(t);
-  warmed.WarmFrom(source, targets);
+  rowed.BeginRequest(source, 3);
   std::vector<Distance> direct;
   batched.BatchDist(source, targets, &direct);
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (targets[i] == source) continue;
-    EXPECT_EQ(warmed.Dist(source, targets[i]), direct[i]) << "i=" << i;
+    EXPECT_EQ(rowed.Dist(targets[i], source), direct[i]) << "i=" << i;
   }
-  EXPECT_EQ(warmed.compdists(), batched.compdists());
+  EXPECT_EQ(rowed.compdists(), batched.compdists());
 }
 
-TEST(WarmFromTest, ClearCacheDropsWarmStore) {
-  const RoadNetwork g = testing::MakeSmallGrid();
+TEST(RowTest, BatchDistReadsTheRows) {
+  const RoadNetwork g = testing::MakeSmallGrid(100.0);
   DistanceOracle oracle(&g);
-  oracle.WarmFrom(0, std::vector<VertexId>{8});
+  oracle.BeginRequest(0, 8);
+  std::vector<Distance> out;
+  oracle.BatchDist(0, std::vector<VertexId>{4, 4, 8, 0}, &out);
+  EXPECT_DOUBLE_EQ(out[0], 200.0);
+  EXPECT_EQ(out[0], out[1]);
+  EXPECT_DOUBLE_EQ(out[2], 400.0);
+  EXPECT_DOUBLE_EQ(out[3], 0.0);
+  EXPECT_EQ(oracle.compdists(), 2u);  // {0,4}, {0,8}
+  EXPECT_EQ(oracle.batch_stats().sweeps, 1u);
+  EXPECT_EQ(oracle.batch_stats().pairs_swept, 0u);
+  oracle.Dist(4, 0);  // already read through the batch
+  EXPECT_EQ(oracle.compdists(), 2u);
+}
+
+TEST(RowTest, CHRowsMatchBidirectionalPointToPoint) {
+  const RoadNetwork g = testing::MakeRandomConnectedGraph(80, 130, 37);
+  const CHGraph ch = CHPreprocessor(CHPreprocessorOptions{}).Build(g);
+  CHQuery query(&ch);
+  DistanceOracle oracle(&g, &ch);
+  const VertexId s = 5;
+  const VertexId d = 62;
+  oracle.BeginRequest(s, d);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (const VertexId anchor : {s, d}) {
+      const Distance want = query.PointToPoint(anchor, v);
+      EXPECT_NEAR(oracle.Dist(v, anchor), want, 1e-9 * want) << "v=" << v;
+    }
+  }
+  EXPECT_EQ(oracle.batch_stats().sweeps, 2u);
+  EXPECT_EQ(oracle.compdists(), 2 * (g.num_vertices() - 1) - 1);
+}
+
+TEST(RowTest, FaultHookRunsOncePerPairReadAndFailedPairsStayInfinite) {
+  const RoadNetwork g = testing::MakeSmallGrid(100.0);
+  DistanceOracle oracle(&g);
+  std::vector<std::pair<VertexId, VertexId>> calls;
+  oracle.SetFaultHook([&calls](VertexId a, VertexId b) {
+    calls.emplace_back(a, b);
+    return b == 4;  // fail every pair ending at the center
+  });
+  oracle.BeginRequest(0, 8);
+  EXPECT_TRUE(calls.empty());  // nothing read yet
+  EXPECT_DOUBLE_EQ(oracle.Dist(2, 0), 200.0);
+  EXPECT_EQ(oracle.Dist(4, 0), kInfDistance);
+  EXPECT_EQ(oracle.Dist(0, 4), kInfDistance);  // stays failed, no re-check
+  EXPECT_DOUBLE_EQ(oracle.Dist(0, 2), 200.0);
+  EXPECT_EQ(oracle.Dist(8, 4), kInfDistance);
+  const std::vector<std::pair<VertexId, VertexId>> want = {
+      {0, 2}, {0, 4}, {8, 4}};
+  EXPECT_EQ(calls, want);  // (anchor, v), first reads only
+  EXPECT_EQ(oracle.faults(), 2u);
+  EXPECT_EQ(oracle.compdists(), 3u);
+  // The next request computes afresh: the failure was per request.
+  oracle.SetFaultHook(nullptr);
+  oracle.BeginRequest(0, 8);
+  EXPECT_DOUBLE_EQ(oracle.Dist(4, 0), 200.0);
+}
+
+TEST(RowTest, UnreachedVerticesReadInfinityWithoutTheHook) {
+  RoadNetwork::Builder b;
+  for (int i = 0; i < 3; ++i) b.AddVertex(Coord{100.0 * i, 0.0});
+  b.AddEdge(0, 1, 1.0);
+  auto g = std::move(b).Build();
+  ASSERT_TRUE(g.ok());
+  DistanceOracle oracle(&*g);
+  int hook_calls = 0;
+  oracle.SetFaultHook([&hook_calls](VertexId, VertexId) {
+    ++hook_calls;
+    return false;
+  });
+  oracle.BeginRequest(0, 1);
+  EXPECT_EQ(oracle.Dist(2, 0), kInfDistance);
+  EXPECT_EQ(oracle.compdists(), 1u);  // unreachable still counts
+  EXPECT_EQ(hook_calls, 0);
+  EXPECT_DOUBLE_EQ(oracle.Dist(0, 1), 1.0);
+  EXPECT_EQ(hook_calls, 1);
+}
+
+TEST(RowTest, ClearCacheDropsAnchors) {
+  const RoadNetwork g = testing::MakeRandomConnectedGraph(40, 70, 9);
+  DijkstraEngine engine(&g);
+  DistanceOracle oracle(&g);
+  oracle.BeginRequest(11, 3);
+  oracle.Dist(11, 20);
   oracle.ClearCache();
+  const BatchStats before = oracle.batch_stats();
+  // A point-to-point search in the asked direction, not a row read.
+  EXPECT_EQ(oracle.Dist(20, 11), engine.PointToPoint(20, 11));
+  EXPECT_EQ(oracle.Dist(3, 7), engine.PointToPoint(3, 7));
+  EXPECT_EQ(oracle.compdists(), 3u);
+  EXPECT_EQ(oracle.batch_stats().sweeps, before.sweeps);
+  EXPECT_EQ(oracle.batch_stats().warm_hits, before.warm_hits);
+}
+
+TEST(RowTest, StartOnlyRequestFillsOneRow) {
+  // The grid-scan shape: dist(s, d) plus pickups dist(l, s) never touch
+  // d's row.
+  const RoadNetwork g = testing::MakeSmallGrid(100.0);
+  DistanceOracle oracle(&g);
+  oracle.BeginRequest(0, 8);
   oracle.Dist(0, 8);
-  EXPECT_EQ(oracle.compdists(), 1u);
-  EXPECT_EQ(oracle.batch_stats().warm_hits, 0u);  // computed, not promoted
+  for (const VertexId l : {2, 4, 6, 7}) oracle.Dist(l, 0);
+  EXPECT_EQ(oracle.batch_stats().sweeps, 1u);
+  EXPECT_EQ(oracle.compdists(), 5u);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "rideshare/baseline_matcher.h"
+#include "rideshare/dsa_matcher.h"
+#include "rideshare/grid_scan_matcher.h"
 #include "rideshare/ssa_matcher.h"
 #include "tests/scenario_builder.h"
 
@@ -219,6 +221,33 @@ TEST(EngineTest, KineticMemoryTracksLoad) {
   engine.RunPipelined(requests, FactoryOf<BaselineMatcher>());
   EXPECT_GT(engine.KineticTreeMemoryBytes(), 0u);
   EXPECT_GE(engine.KineticTreeMemoryBytes(), before);
+}
+
+TEST(EngineTest, EachMatchFillsAtMostTwoRows) {
+  // Every distance a matcher reads has s or d as an endpoint (or is a tree
+  // Refresh leg), so a match runs at most two one-to-all searches.
+  GridWorld w = MakeWorld();
+  const std::vector<Request> requests = MakeRequests(*w.graph, 40);
+  const std::pair<const char*, MatcherFactory> matchers[] = {
+      {"SSA", FactoryOf<SsaMatcher>(0.5)},
+      {"DSA", FactoryOf<DsaMatcher>(0.5)},
+      {"BA", FactoryOf<BaselineMatcher>()},
+      {"GRID", FactoryOf<GridScanMatcher>()}};
+  for (const auto& [name, factory] : matchers) {
+    EngineOptions opts;
+    opts.num_vehicles = 12;
+    opts.engine_threads = 2;
+    opts.wave_size = 4;
+    Engine engine(w.graph.get(), w.grid.get(), opts);
+    const RunStats stats = engine.RunPipelined(requests, factory);
+    const std::uint64_t match_calls =
+        requests.size() + stats.rematches + stats.serial_rematches;
+    const std::uint64_t sweeps =
+        engine.metrics().Counter("pipeline/match/batch/sweeps");
+    EXPECT_GT(stats.served, 0u) << name;
+    EXPECT_GT(sweeps, 0u) << name;
+    EXPECT_LE(sweeps, 2 * match_calls) << name;
+  }
 }
 
 }  // namespace

@@ -368,8 +368,9 @@ TEST(TraceRecorderTest, DeterministicMetricsMatchAcrossThreadCounts) {
   // The convention must leave real metrics to compare (compdists, options,
   // batch counters) — an empty intersection would make this test vacuous.
   EXPECT_GE(compared, 6u);
-  for (const char* batch : {"pipeline/match/batch/pairs_requested",
-                            "matcher/SSA/batch/pairs_requested"}) {
+  for (const char* batch :
+       {"pipeline/match/batch/sweeps", "pipeline/match/batch/warm_hits",
+        "matcher/SSA/batch/sweeps", "matcher/SSA/batch/warm_hits"}) {
     EXPECT_GT(serial.Counter(batch), 0u) << batch;
     EXPECT_EQ(serial.Counter(batch), pooled.Counter(batch)) << batch;
   }
