@@ -216,7 +216,7 @@ MatchResult BrokenLemmaMatcher::Match(const Request& request,
     };
   }
 
-  for (KineticTree& tree : *ctx.fleet) {
+  for (const KineticTree& tree : *ctx.fleet) {
     if (tree.IsEmpty()) {
       if (lemma == 1 && !skyline.empty() &&
           lemmas::EmptyVehiclePruned(

@@ -104,13 +104,10 @@ MatchResult ReferenceMatcher::Match(const Request& request,
 
   const Distance direct =
       ctx.oracle->Dist(request.start, request.destination);
-  const KineticTree::DistFn dist = [&ctx](VertexId a, VertexId b) {
-    return ctx.oracle->Dist(a, b);
-  };
 
   MatchResult result;
   std::vector<Option> options;
-  for (KineticTree& tree : *ctx.fleet) {
+  for (const KineticTree& tree : *ctx.fleet) {
     ++result.stats.verified_vehicles;
     if (tree.IsEmpty()) {
       if (tree.capacity() < request.riders) continue;
@@ -124,7 +121,6 @@ MatchResult ReferenceMatcher::Match(const Request& request,
                                                        pickup, direct);
       options.push_back(option);
     } else {
-      tree.Refresh(dist);
       EnumerateVehicleOptions(tree, request, direct, ctx, &options);
     }
   }

@@ -18,10 +18,12 @@
 // codebase already applies.
 //
 // Two rows per request. Every distance a matcher reads has the request's
-// pickup s or dropoff d as one endpoint, except the kinetic tree's Refresh
-// legs. BeginRequest(s, d) anchors row 0 at s and row 1 at d; a Dist(a, b)
-// with s as an endpoint reads s's row, otherwise one with d reads d's row,
-// and everything else goes to the memo and a point-to-point search. A row
+// pickup s or dropoff d as one endpoint (matchers never refresh a kinetic
+// tree; the engine does that before matching). BeginRequest(s, d) anchors
+// row 0 at s and row 1 at d; a Dist(a, b) with s as an endpoint reads s's
+// row, otherwise one with d reads d's row, and everything else goes to the
+// memo and a point-to-point search — a path no matcher takes, which serves
+// the engine's maintenance oracle and the reference matcher. A row
 // is one full one-to-all search from its anchor, run on the row's first
 // read (so a request that never reads d's row never fills it) into arrays
 // allocated on the first fill (so an oracle that never anchors pays

@@ -11,11 +11,9 @@ const CellAggregates kEmptyAggregates{};
 
 }  // namespace
 
-VehicleRegistry::VehicleRegistry(const GridIndex* grid, int num_shards)
-    : grid_(grid) {
+VehicleRegistry::VehicleRegistry(const GridIndex* grid) : grid_(grid) {
   PTAR_CHECK(grid != nullptr);
-  PTAR_CHECK(num_shards >= 1) << "num_shards must be positive";
-  shards_.resize(static_cast<std::size_t>(num_shards));
+  shards_.resize(kNumShards);
   for (Shard& shard : shards_) {
     shard.state = std::make_shared<ShardState>();
   }

@@ -14,10 +14,10 @@
 // next Aggregates() call rebuilds them in one pass over the cell's entries.
 //
 // Sharding & epoch snapshots (request-parallel engine). Cell state is
-// partitioned into `num_shards` shards by cell id; each shard's state lives
+// partitioned into kNumShards shards by cell id; each shard's state lives
 // behind a copy-on-write shared_ptr and carries a monotonically increasing
 // epoch (bumped on every mutation that touches the shard). TakeSnapshot()
-// captures all shard pointers plus their epochs in O(num_shards); the
+// captures all shard pointers plus their epochs in O(kNumShards); the
 // snapshot is an immutable, consistent view that concurrent matcher workers
 // read without any lock. A writer mutating a shard whose state is shared
 // with an open snapshot first clones that shard (never the whole registry),
@@ -98,13 +98,12 @@ struct CellAggregates {
 
 class VehicleRegistry {
  public:
-  /// Default shard count: enough that the COW clone paid when a snapshot
-  /// is open touches ~1/16 of the cells, small enough that TakeSnapshot()
-  /// stays a handful of pointer copies.
-  static constexpr int kDefaultNumShards = 16;
+  /// Shard count: enough that the COW clone paid when a snapshot is open
+  /// touches ~1/16 of the cells, small enough that TakeSnapshot() stays a
+  /// handful of pointer copies.
+  static constexpr int kNumShards = 16;
 
-  explicit VehicleRegistry(const GridIndex* grid,
-                           int num_shards = kDefaultNumShards);
+  explicit VehicleRegistry(const GridIndex* grid);
 
   VehicleRegistry(const VehicleRegistry&) = delete;
   VehicleRegistry& operator=(const VehicleRegistry&) = delete;

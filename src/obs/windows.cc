@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
-
 namespace ptar::obs {
 
 namespace {
@@ -16,10 +14,7 @@ std::int64_t WindowIndex(double sim_time, double width) {
 }  // namespace
 
 WindowedTelemetry::WindowedTelemetry(const TelemetryOptions& options)
-    : options_(options), width_(options.window_seconds) {
-  PTAR_CHECK(options.max_windows >= 1)
-      << "telemetry ring needs at least one window";
-}
+    : options_(options), width_(options.window_seconds) {}
 
 bool WindowedTelemetry::WouldOpenNew(double sim_time) const {
   if (!enabled()) return false;
@@ -46,7 +41,7 @@ MetricsRegistry* WindowedTelemetry::At(double sim_time) {
 }
 
 void WindowedTelemetry::CoalesceIfNeeded() {
-  while (windows_.size() > static_cast<std::size_t>(options_.max_windows)) {
+  while (windows_.size() > kMaxWindows) {
     width_ *= 2.0;
     std::vector<Window> merged;
     merged.reserve(windows_.size() / 2 + 1);

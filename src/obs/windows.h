@@ -6,10 +6,10 @@
 // The engine asks for the registry of the window containing the current
 // sim time (`At(sim_time)`) and bumps plain counters/histograms into it;
 // everything else — window creation, gap skipping, and capacity — lives
-// here. When the ring exceeds `max_windows`, the window width doubles and
-// adjacent windows merge (MetricsRegistry is mergeable by construction),
-// so memory stays O(max_windows) for arbitrarily long runs while the
-// whole run remains covered.
+// here. When the ring exceeds kMaxWindows (256), the window width doubles
+// and adjacent windows merge (MetricsRegistry is mergeable by
+// construction), so memory stays bounded for arbitrarily long runs while
+// the whole run remains covered.
 //
 // Window boundaries are sim-time, not wall-clock, so the window structure
 // and every count in it are deterministic; only the timing-suffixed
@@ -46,9 +46,6 @@ struct TelemetryOptions {
   /// Initial sim-time window width; <= 0 disables the aggregator entirely
   /// (At() then returns null and Export() is empty).
   double window_seconds = 60.0;
-  /// Ring capacity. Exceeding it doubles the width and merges neighbours,
-  /// so long runs keep full coverage at bounded memory.
-  int max_windows = 256;
 };
 
 /// Flattened view of one window — the fields the report's "timeseries"
@@ -80,8 +77,12 @@ struct WindowSlo {
 
 class WindowedTelemetry {
  public:
+  /// Ring capacity. Exceeding it doubles the width and merges neighbours,
+  /// so long runs keep full coverage at bounded memory.
+  static constexpr std::size_t kMaxWindows = 256;
+
   /// Disabled aggregator (window_seconds 0).
-  WindowedTelemetry() : WindowedTelemetry(TelemetryOptions{0.0, 1}) {}
+  WindowedTelemetry() : WindowedTelemetry(TelemetryOptions{0.0}) {}
   explicit WindowedTelemetry(const TelemetryOptions& options);
 
   bool enabled() const { return options_.window_seconds > 0.0; }

@@ -20,12 +20,11 @@ MatchResult BaselineMatcher::Match(const Request& request, MatchContext& ctx) {
   SkylineSet skyline;
   MatchStats stats;
   // BA never prunes on grid bounds; under --prune=ellipse it still applies
-  // the GeoPrune hooks (plus the verify-time empty-vehicle check inside
-  // VerifyEmptyVehicle), which is what makes a pruned full scan cheap.
-  const InsertionHooks hooks =
-      ctx.prune != nullptr
-          ? internal::MakeEllipseHooks(env, *ctx.prune, skyline, &stats)
-          : InsertionHooks{};
+  // the insertion lemmas on GeoPrune's bound (plus the verify-time
+  // empty-vehicle check inside VerifyEmptyVehicle), which is what makes a
+  // pruned full scan cheap.
+  const InsertionHooks hooks = internal::MakeInsertionHooks(
+      env, /*grid=*/nullptr, ctx.prune, skyline, &stats);
 
   // BA verifies the whole fleet; the empty vehicles the group can board go
   // first (VerifyEmptyVehicle computes no distance for the others).
@@ -58,7 +57,7 @@ MatchResult BaselineMatcher::Match(const Request& request, MatchContext& ctx) {
       internal::VerifyEmptyVehicle((*ctx.fleet)[v], env, ctx, skyline,
                                    stats);
     }
-    for (KineticTree& tree : *ctx.fleet) {
+    for (const KineticTree& tree : *ctx.fleet) {
       if (!complete || internal::BudgetExhausted(ctx)) {
         complete = false;
         break;

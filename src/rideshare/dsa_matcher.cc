@@ -30,7 +30,7 @@ MatchResult DsaMatcher::Match(const Request& request, MatchContext& ctx) {
   std::vector<char> d_candidate(fleet_size, 0);
   std::vector<char> verified(fleet_size, 0);
   const InsertionHooks hooks =
-      internal::MakeContextHooks(env, ctx, skyline, &stats);
+      internal::MakeInsertionHooks(env, ctx.grid, ctx.prune, skyline, &stats);
 
   const std::span<const CellId> cells_s =
       ctx.grid->CellsByDistance(ctx.grid->CellOfVertex(request.start));

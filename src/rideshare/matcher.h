@@ -57,10 +57,16 @@ struct MatchStats {
   std::uint64_t compdists = 0;  ///< Shortest-path distance computations.
   std::uint64_t scanned_cells = 0;    ///< Grid cells visited.
   std::uint64_t pruned_cells = 0;     ///< Cells skipped by Lemmas 2/4/6/8/10.
-  std::uint64_t pruned_vehicles = 0;  ///< Vehicles skipped by Lemmas 1/3/5.
-  std::uint64_t ellipse_checked = 0;  ///< Candidates tested by GeoPrune.
-  std::uint64_t ellipse_pruned = 0;   ///< Candidates rejected by GeoPrune.
-  LemmaCounters lemma_hits;           ///< Per-lemma attribution of the above.
+  /// Vehicles skipped for capacity or by an edge-level lemma (1, 3, 5, 7,
+  /// 9) on either bound.
+  std::uint64_t pruned_vehicles = 0;
+  /// Lemma tests run on GeoPrune's bound. Each follows a grid-bound test
+  /// of the same lemma that did not prune, except BA's and the verify-time
+  /// Lemma 1, which have no grid test.
+  std::uint64_t ellipse_checked = 0;
+  std::uint64_t ellipse_pruned = 0;  ///< GeoPrune tests that pruned.
+  /// Grid-bound rejections by lemma; GeoPrune's are in ellipse_pruned.
+  LemmaCounters lemma_hits;
   double elapsed_micros = 0.0;
 
   void Accumulate(const MatchStats& other) {
@@ -87,12 +93,12 @@ struct MatchResult {
   bool complete = true;
 };
 
-/// Everything a matcher needs about the world. The fleet is mutable because
-/// verification repairs stale kinetic-tree legs in place (a semantics-
-/// preserving operation shared by all matchers).
+/// Everything a matcher needs about the world. Matchers only read it: the
+/// engine refreshes every stale kinetic tree before it takes the snapshot,
+/// so the fleet a matcher sees is fresh, and a matcher never repairs it.
 struct MatchContext {
   const GridIndex* grid = nullptr;
-  std::vector<KineticTree>* fleet = nullptr;  ///< Indexed by VehicleId.
+  const std::vector<KineticTree>* fleet = nullptr;  ///< By VehicleId.
   DistanceOracle* oracle = nullptr;
   PriceModel price_model;
   /// Optional per-request work budget (null = unlimited). The matcher must
@@ -103,14 +109,15 @@ struct MatchContext {
   /// Frozen registry view (VehicleRegistry::TakeSnapshot), the only
   /// registry state a matcher reads. Concurrent matcher workers share one
   /// consistent fleet view while the engine keeps the live registry for
-  /// commits; tree verification repairs still target the live `fleet`.
+  /// commits.
   const RegistrySnapshot* snapshot = nullptr;
   /// Optional GeoPrune prefilter (src/prune), installed by the engine when
-  /// EngineOptions::prune is kEllipse. When set, matchers interleave
-  /// calibrated-Euclidean ellipse checks with the grid lower bounds: the
-  /// same lemma predicates evaluated on a second, per-pair-tight lower
-  /// bound. Lossless by construction — the differential harness's
-  /// --prune_check mode asserts pruned skylines equal the reference's.
+  /// EngineOptions::prune is kEllipse. When set, every edge-level lemma
+  /// that the grid bound did not prune runs again on this second,
+  /// per-pair-tight calibrated-Euclidean lower bound (one predicate per
+  /// lemma, src/rideshare/matcher_internal.cc). Lossless by construction —
+  /// the differential harness's --prune_check mode asserts pruned skylines
+  /// equal the reference's.
   const prune::EllipsePrefilter* prune = nullptr;
 };
 

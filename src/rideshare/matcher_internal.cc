@@ -42,206 +42,181 @@ bool FiniteOption(const Option& option) {
   return std::isfinite(option.pickup_dist) && std::isfinite(option.price);
 }
 
+/// One gap <o_x, o_y> of a vehicle's schedule, as a registered kinetic
+/// edge and an insertion position both describe it.
+struct Gap {
+  VertexId ox = kInvalidVertex;
+  VertexId oy = kInvalidVertex;  ///< kInvalidVertex for the tail gap.
+  bool tail = false;
+  Distance leg = 0.0;      ///< dist(o_x, o_y); 0 for the tail.
+  Distance detour = 0.0;   ///< o_x.detour.
+  int seats = 0;           ///< o_x.capacity.
+  Distance dist_tr = 0.0;  ///< Trip distance from the location to o_x.
+};
+
+Gap EntryGap(const KineticEdgeEntry& e) {
+  return {e.ox, e.oy, e.tail, e.leg_dist, e.detour, e.capacity, e.dist_tr};
+}
+
+// The edge-level lemmas, one copy each. Every predicate takes a lower-bound
+// callable ldist(u, v) — the grid's bound or GeoPrune's calibrated-Euclidean
+// one — and returns the number of the lemma that prunes, or 0.
+
+/// Lemma 1: the empty vehicle at `location` cannot beat the skyline.
+struct EmptyVehicleLemma {
+  VertexId location;
+  const RequestEnv& env;
+  const SkylineSet& skyline;
+
+  template <typename LowerBound>
+  int operator()(const LowerBound& ldist) const {
+    return lemmas::EmptyVehiclePruned(ldist(location, env.request->start),
+                                      skyline.options(), env.fn, env.direct)
+               ? 1
+               : 0;
+  }
+};
+
+/// Lemma 5, then Lemma 3: inserting s into `gap` is infeasible, or it
+/// cannot beat the skyline.
+struct StartGapLemma {
+  Gap gap;
+  const RequestEnv& env;
+  const SkylineSet& skyline;
+
+  template <typename LowerBound>
+  int operator()(const LowerBound& ldist) const {
+    const VertexId s = env.request->start;
+    const Distance l_ox = ldist(s, gap.ox);
+    const Distance l_oy = gap.tail ? 0.0 : ldist(s, gap.oy);
+    if (lemmas::StartEdgeInfeasible(gap.seats, env.request->riders,
+                                    gap.detour, l_ox, l_oy, gap.leg,
+                                    gap.tail)) {
+      return 5;
+    }
+    if (!skyline.empty() &&
+        lemmas::StartEdgePruned(l_ox, l_oy, gap.leg, gap.tail, gap.dist_tr,
+                                skyline.options(), env.fn, env.direct)) {
+      return 3;
+    }
+    return 0;
+  }
+};
+
+/// Lemma 7, then Lemma 9: inserting d into `gap` is infeasible, or it
+/// cannot beat the skyline. Given s's exact placement, Lemma 11 follows
+/// with the Definition 7 detour bound, and Lemma 9 is skipped when d
+/// targets s's own gap: Lemma 9 models d's predecessor as o_x, which only
+/// holds for a later gap (Definition 7 case 1). In the same gap d follows
+/// s directly, so dist_tr_ox + ldist(o_x, d) is NOT a lower bound on
+/// dist_tr'(c.l, d) — it overshoots by up to dist(o_x, s) — and Lemma 11
+/// covers the case instead.
+struct DestGapLemma {
+  Gap gap;
+  const RequestEnv& env;
+  const SkylineSet& skyline;
+  const DPositionContext* placed = nullptr;  ///< Null before s is placed.
+
+  template <typename LowerBound>
+  int operator()(const LowerBound& ldist) const {
+    const VertexId d = env.request->destination;
+    const Distance l_ox = ldist(d, gap.ox);
+    const Distance l_oy = gap.tail ? 0.0 : ldist(d, gap.oy);
+    if (lemmas::DestEdgeInfeasible(gap.seats, env.request->riders,
+                                   gap.detour, l_ox, l_oy, gap.leg,
+                                   gap.tail)) {
+      return 7;
+    }
+    if (skyline.empty()) return 0;
+    if ((placed == nullptr || !placed->same_gap) &&
+        lemmas::DestEdgePruned(gap.dist_tr, l_ox, l_oy, gap.leg, gap.tail,
+                               env.request->epsilon, env.direct,
+                               skyline.options(), env.fn)) {
+      return 9;
+    }
+    if (placed != nullptr &&
+        lemmas::AfterStartPruned(
+            placed->pickup_dist,
+            lemmas::DetourLowerBound(placed->same_gap, gap.tail,
+                                     placed->dist_ox_s, placed->delta_s,
+                                     l_ox, l_oy, gap.leg, env.direct),
+            skyline.options(), env.fn, env.direct)) {
+      return 11;
+    }
+    return 0;
+  }
+};
+
+/// Runs `lemma` on the grid bound, then — only if that did not prune — on
+/// GeoPrune's bound; a null bound is skipped. A grid rejection by lemma k
+/// counts in stats.lemma_hits[k]; every GeoPrune test counts in
+/// ellipse_checked and its rejections in ellipse_pruned. True when either
+/// bound pruned.
+template <typename Lemma>
+bool PrunedOnEitherBound(const GridIndex* grid,
+                         const prune::EllipsePrefilter* prune,
+                         MatchStats& stats, const Lemma& lemma) {
+  if (grid != nullptr) {
+    const int k = lemma(
+        [grid](VertexId u, VertexId v) { return grid->LowerBound(u, v); });
+    if (k != 0) {
+      ++stats.lemma_hits[k];
+      return true;
+    }
+  }
+  if (prune == nullptr) return false;
+  ++stats.ellipse_checked;
+  const int k = lemma(
+      [prune](VertexId u, VertexId v) { return prune->LowerBound(u, v); });
+  if (k == 0) return false;
+  ++stats.ellipse_pruned;
+  return true;
+}
+
 }  // namespace
 
-KineticTree::DistFn OracleDistFn(MatchContext& ctx) {
-  DistanceOracle* oracle = ctx.oracle;
-  return [oracle](VertexId a, VertexId b) { return oracle->Dist(a, b); };
-}
-
-InsertionHooks MakeLemmaHooks(const RequestEnv& env, const GridIndex& grid,
-                              const SkylineSet& skyline,
-                              LemmaCounters* counters) {
+InsertionHooks MakeInsertionHooks(const RequestEnv& env, const GridIndex* grid,
+                                  const prune::EllipsePrefilter* prune,
+                                  const SkylineSet& skyline,
+                                  MatchStats* stats) {
   InsertionHooks hooks;
-  if (!env.pruning.insertion_hooks) return hooks;
-  const Request* request = env.request;
-  const Distance direct = env.direct;
-  const double fn = env.fn;
-
-  hooks.prune_s = [request, direct, fn, &grid, &skyline,
-                   counters](const SPositionContext& c) {
-    const VertexId s = request->start;
-    const Distance l_ox = grid.LowerBound(s, c.ox);
-    const Distance l_oy = c.tail ? 0.0 : grid.LowerBound(s, c.oy);
-    if (lemmas::StartEdgeInfeasible(c.free_seats, request->riders,
-                                    c.detour_slack, l_ox, l_oy, c.leg_dist,
-                                    c.tail)) {
-      ++(*counters)[5];
-      return true;  // Lemma 5
-    }
-    if (!skyline.empty() &&
-        lemmas::StartEdgePruned(l_ox, l_oy, c.leg_dist, c.tail, c.dist_tr_ox,
-                                skyline.options(), fn, direct)) {
-      ++(*counters)[3];
-      return true;  // Lemma 3
-    }
-    return false;
-  };
-
-  hooks.prune_d = [request, direct, fn, &grid, &skyline,
-                   counters](const DPositionContext& c) {
-    const VertexId d = request->destination;
-    const Distance l_ox = grid.LowerBound(d, c.ox);
-    const Distance l_oy = c.tail ? 0.0 : grid.LowerBound(d, c.oy);
-    // Lemma 7 (capacity is enforced exactly by the enumerator, so only the
-    // detour clause applies here).
-    if (lemmas::DestEdgeInfeasible(std::numeric_limits<int>::max(),
-                                   request->riders, c.detour_slack, l_ox,
-                                   l_oy, c.leg_dist, c.tail)) {
-      ++(*counters)[7];
-      return true;
-    }
-    if (!skyline.empty()) {
-      // Lemma 9 models d's predecessor as o_x, which only holds when d
-      // targets a later gap than s (Definition 7 case 1). In the same gap
-      // d follows s directly, so dist_tr_ox + ldist(o_x, d) is NOT a lower
-      // bound on dist_tr'(c.l, d) — it overshoots by up to dist(o_x, s) —
-      // and the Definition 7 bound below covers the case instead.
-      if (!c.same_gap &&
-          lemmas::DestEdgePruned(c.dist_tr_ox, l_ox, l_oy, c.leg_dist,
-                                 c.tail, request->epsilon, direct,
-                                 skyline.options(), fn)) {
-        ++(*counters)[9];
-        return true;
-      }
-      // Lemma 11 with the Definition 7 detour lower bound.
-      const Distance detour_lb = lemmas::DetourLowerBound(
-          c.same_gap, c.tail, c.dist_ox_s, c.delta_s, l_ox, l_oy, c.leg_dist,
-          direct);
-      if (lemmas::AfterStartPruned(c.pickup_dist, detour_lb,
-                                   skyline.options(), fn, direct)) {
-        ++(*counters)[11];
-        return true;
-      }
-    }
-    return false;
-  };
-
-  return hooks;
-}
-
-InsertionHooks MakeEllipseHooks(const RequestEnv& env,
-                                const prune::EllipsePrefilter& prefilter,
-                                const SkylineSet& skyline, MatchStats* stats) {
-  InsertionHooks hooks;
-  if (!env.pruning.insertion_hooks) return hooks;
-  const Request* request = env.request;
-  const Distance direct = env.direct;
-  const double fn = env.fn;
-  const prune::EllipsePrefilter* filter = &prefilter;
-
-  hooks.prune_s = [request, direct, fn, filter, &skyline,
+  if (!env.pruning.insertion_hooks || (grid == nullptr && prune == nullptr)) {
+    return hooks;
+  }
+  hooks.prune_s = [env, grid, prune, &skyline,
                    stats](const SPositionContext& c) {
-    const VertexId s = request->start;
-    ++stats->ellipse_checked;
-    const Distance l_ox = filter->LowerBound(s, c.ox);
-    const Distance l_oy = c.tail ? 0.0 : filter->LowerBound(s, c.oy);
-    // Lemma 5 analog: s outside the feasibility ellipse with foci o_x, o_y
-    // and focal-sum bound leg_dist + detour_slack.
-    if (lemmas::StartEdgeInfeasible(c.free_seats, request->riders,
-                                    c.detour_slack, l_ox, l_oy, c.leg_dist,
-                                    c.tail)) {
-      ++stats->ellipse_pruned;
-      return true;
-    }
-    if (!skyline.empty() &&
-        lemmas::StartEdgePruned(l_ox, l_oy, c.leg_dist, c.tail, c.dist_tr_ox,
-                                skyline.options(), fn, direct)) {
-      ++stats->ellipse_pruned;
-      return true;  // Lemma 3 analog
-    }
-    return false;
+    const Gap gap{c.ox, c.oy, c.tail, c.leg_dist, c.detour_slack,
+                  c.free_seats, c.dist_tr_ox};
+    return PrunedOnEitherBound(grid, prune, *stats,
+                               StartGapLemma{gap, env, skyline});
   };
-
-  hooks.prune_d = [request, direct, fn, filter, &skyline,
+  hooks.prune_d = [env, grid, prune, &skyline,
                    stats](const DPositionContext& c) {
-    const VertexId d = request->destination;
-    ++stats->ellipse_checked;
-    const Distance l_ox = filter->LowerBound(d, c.ox);
-    const Distance l_oy = c.tail ? 0.0 : filter->LowerBound(d, c.oy);
-    // Lemma 7 analog (capacity is enforced exactly by the enumerator).
-    if (lemmas::DestEdgeInfeasible(std::numeric_limits<int>::max(),
-                                   request->riders, c.detour_slack, l_ox,
-                                   l_oy, c.leg_dist, c.tail)) {
-      ++stats->ellipse_pruned;
-      return true;
-    }
-    if (!skyline.empty()) {
-      // Same-gap guard as in MakeLemmaHooks: the Lemma 9 model of d's
-      // predecessor as o_x only holds when d targets a later gap than s.
-      if (!c.same_gap &&
-          lemmas::DestEdgePruned(c.dist_tr_ox, l_ox, l_oy, c.leg_dist,
-                                 c.tail, request->epsilon, direct,
-                                 skyline.options(), fn)) {
-        ++stats->ellipse_pruned;
-        return true;
-      }
-      const Distance detour_lb = lemmas::DetourLowerBound(
-          c.same_gap, c.tail, c.dist_ox_s, c.delta_s, l_ox, l_oy, c.leg_dist,
-          direct);
-      if (lemmas::AfterStartPruned(c.pickup_dist, detour_lb,
-                                   skyline.options(), fn, direct)) {
-        ++stats->ellipse_pruned;
-        return true;  // Lemma 11 analog
-      }
-    }
-    return false;
+    // The enumerator enforces capacity exactly, so d's gap claims unlimited
+    // seats and only Lemma 7's detour clause applies.
+    const Gap gap{c.ox, c.oy, c.tail, c.leg_dist, c.detour_slack,
+                  std::numeric_limits<int>::max(), c.dist_tr_ox};
+    return PrunedOnEitherBound(grid, prune, *stats,
+                               DestGapLemma{gap, env, skyline, &c});
   };
-
   return hooks;
 }
 
-InsertionHooks CombineHooks(InsertionHooks first, InsertionHooks second) {
-  InsertionHooks out;
-  if (!first.prune_s) {
-    out.prune_s = std::move(second.prune_s);
-  } else if (!second.prune_s) {
-    out.prune_s = std::move(first.prune_s);
-  } else {
-    out.prune_s = [a = std::move(first.prune_s), b = std::move(second.prune_s)](
-                      const SPositionContext& c) { return a(c) || b(c); };
-  }
-  if (!first.prune_d) {
-    out.prune_d = std::move(second.prune_d);
-  } else if (!second.prune_d) {
-    out.prune_d = std::move(first.prune_d);
-  } else {
-    out.prune_d = [a = std::move(first.prune_d), b = std::move(second.prune_d)](
-                      const DPositionContext& c) { return a(c) || b(c); };
-  }
-  return out;
-}
-
-InsertionHooks MakeContextHooks(const RequestEnv& env, MatchContext& ctx,
-                                const SkylineSet& skyline, MatchStats* stats) {
-  InsertionHooks hooks =
-      MakeLemmaHooks(env, *ctx.grid, skyline, &stats->lemma_hits);
-  if (ctx.prune != nullptr) {
-    hooks = CombineHooks(std::move(hooks),
-                         MakeEllipseHooks(env, *ctx.prune, skyline, stats));
-  }
-  return hooks;
-}
-
-void VerifyEmptyVehicle(KineticTree& tree, const RequestEnv& env,
+void VerifyEmptyVehicle(const KineticTree& tree, const RequestEnv& env,
                         MatchContext& ctx, SkylineSet& skyline,
                         MatchStats& stats) {
   BudgetScope budget(ctx, /*base_units=*/1);
-  // GeoPrune: the Lemma 1 dominance bound on the calibrated-Euclidean
-  // distance, evaluated at verification time when the skyline is already
-  // populated (collection-time checks see an empty skyline for the cells
-  // scanned first, which hold exactly the near vehicles worth pruning).
-  // Skipping the exact pickup distance is safe because the bound never
-  // exceeds it (DESIGN.md §13).
-  if (ctx.prune != nullptr && env.pruning.edge_level && !skyline.empty()) {
-    ++stats.ellipse_checked;
-    if (lemmas::EmptyVehiclePruned(
-            ctx.prune->LowerBound(tree.location(), env.request->start),
-            skyline.options(), env.fn, env.direct)) {
-      ++stats.ellipse_pruned;
-      ++stats.pruned_vehicles;
-      return;
-    }
+  // GeoPrune: Lemma 1 on the calibrated-Euclidean bound again at
+  // verification time, when the skyline is already populated (collection-
+  // time checks see an empty skyline for the cells scanned first, which
+  // hold exactly the near vehicles worth pruning). Skipping the exact
+  // pickup distance is safe because the bound never exceeds it
+  // (DESIGN.md §13).
+  if (env.pruning.edge_level && !skyline.empty() &&
+      PrunedOnEitherBound(nullptr, ctx.prune, stats,
+                          EmptyVehicleLemma{tree.location(), env, skyline})) {
+    ++stats.pruned_vehicles;
+    return;
   }
   ++stats.verified_vehicles;
   if (tree.capacity() < env.request->riders) return;  // group cannot board
@@ -256,18 +231,18 @@ void VerifyEmptyVehicle(KineticTree& tree, const RequestEnv& env,
   if (FiniteOption(option)) skyline.Insert(option);
 }
 
-void VerifyNonEmptyVehicle(KineticTree& tree, const RequestEnv& env,
+void VerifyNonEmptyVehicle(const KineticTree& tree, const RequestEnv& env,
                            MatchContext& ctx, const InsertionHooks& hooks,
                            SkylineSet& skyline, MatchStats& stats) {
   BudgetScope budget(ctx, /*base_units=*/1);
   ++stats.verified_vehicles;
   obs::TraceSpan span("verify_insertion");
   span.AddArg("vehicle", tree.vehicle());
-  const KineticTree::DistFn dist = OracleDistFn(ctx);
-  tree.Refresh(dist);
+  DistanceOracle* oracle = ctx.oracle;
   const Distance base_total = tree.CurrentTotal();
-  const std::vector<InsertionCandidate> candidates =
-      tree.EnumerateInsertions(*env.request, env.direct, dist, hooks);
+  const std::vector<InsertionCandidate> candidates = tree.EnumerateInsertions(
+      *env.request, env.direct,
+      [oracle](VertexId a, VertexId b) { return oracle->Dist(a, b); }, hooks);
   span.AddArg("candidates", static_cast<std::int64_t>(candidates.size()));
   for (const InsertionCandidate& cand : candidates) {
     Option option;
@@ -339,26 +314,14 @@ void CollectEmptyCandidates(CellId cell, const RequestEnv& env,
   stats.pruned_vehicles +=
       AppendBoardableEmpties(cell, env, ctx, emitted, &boardable);
   for (const VehicleId v : boardable) {
-    const KineticTree& tree = (*ctx.fleet)[v];
-    // Lemma 1, per vehicle.
-    if (env.pruning.edge_level && !skyline.empty() &&
-        lemmas::EmptyVehiclePruned(ctx.grid->LowerBound(tree.location(), s),
-                                   skyline.options(), env.fn, env.direct)) {
-      ++stats.pruned_vehicles;
-      ++stats.lemma_hits[1];
-      continue;
-    }
-    // GeoPrune: Lemma 1 again on the calibrated-Euclidean bound, which is
+    // Lemma 1, per vehicle: on the grid bound, then on GeoPrune's, which is
     // per-pair tight where the grid bound collapses to zero (same cell).
-    if (ctx.prune != nullptr && env.pruning.edge_level && !skyline.empty()) {
-      ++stats.ellipse_checked;
-      if (lemmas::EmptyVehiclePruned(
-              ctx.prune->LowerBound(tree.location(), s), skyline.options(),
-              env.fn, env.direct)) {
-        ++stats.ellipse_pruned;
-        ++stats.pruned_vehicles;
-        continue;
-      }
+    if (env.pruning.edge_level && !skyline.empty() &&
+        PrunedOnEitherBound(
+            ctx.grid, ctx.prune, stats,
+            EmptyVehicleLemma{(*ctx.fleet)[v].location(), env, skyline})) {
+      ++stats.pruned_vehicles;
+      continue;
     }
     emitted[v] = 1;
     out->push_back(v);
@@ -393,49 +356,13 @@ void CollectStartCandidates(CellId cell, const RequestEnv& env,
   }
   for (const KineticEdgeEntry& entry : ctx.snapshot->NonEmptyEntries(cell)) {
     if (emitted[entry.vehicle]) continue;
-    const Distance l_ox = ctx.grid->LowerBound(s, entry.ox);
-    const Distance l_oy =
-        entry.tail ? 0.0 : ctx.grid->LowerBound(s, entry.oy);
-    // Lemma 5.
+    // Lemmas 5 and 3. On GeoPrune's bound the feasibility clause is
+    // containment of s in the detour ellipse with foci o_x, o_y.
     if (env.pruning.edge_level &&
-        lemmas::StartEdgeInfeasible(entry.capacity, riders, entry.detour,
-                                    l_ox, l_oy, entry.leg_dist, entry.tail)) {
+        PrunedOnEitherBound(ctx.grid, ctx.prune, stats,
+                            StartGapLemma{EntryGap(entry), env, skyline})) {
       ++stats.pruned_vehicles;
-      ++stats.lemma_hits[5];
       continue;
-    }
-    // Lemma 3.
-    if (env.pruning.edge_level && !skyline.empty() &&
-        lemmas::StartEdgePruned(l_ox, l_oy, entry.leg_dist, entry.tail,
-                                entry.dist_tr, skyline.options(), env.fn,
-                                env.direct)) {
-      ++stats.pruned_vehicles;
-      ++stats.lemma_hits[3];
-      continue;
-    }
-    // GeoPrune: Lemmas 5 and 3 on the calibrated-Euclidean bounds — the
-    // feasibility clause is containment of s in the detour ellipse with
-    // foci o_x, o_y.
-    if (ctx.prune != nullptr && env.pruning.edge_level) {
-      ++stats.ellipse_checked;
-      const Distance e_ox = ctx.prune->LowerBound(s, entry.ox);
-      const Distance e_oy =
-          entry.tail ? 0.0 : ctx.prune->LowerBound(s, entry.oy);
-      if (lemmas::StartEdgeInfeasible(entry.capacity, riders, entry.detour,
-                                      e_ox, e_oy, entry.leg_dist,
-                                      entry.tail)) {
-        ++stats.ellipse_pruned;
-        ++stats.pruned_vehicles;
-        continue;
-      }
-      if (!skyline.empty() &&
-          lemmas::StartEdgePruned(e_ox, e_oy, entry.leg_dist, entry.tail,
-                                  entry.dist_tr, skyline.options(), env.fn,
-                                  env.direct)) {
-        ++stats.ellipse_pruned;
-        ++stats.pruned_vehicles;
-        continue;
-      }
     }
     emitted[entry.vehicle] = 1;
     out->push_back(entry.vehicle);
@@ -471,47 +398,12 @@ void CollectDestCandidates(CellId cell, const RequestEnv& env,
   }
   for (const KineticEdgeEntry& entry : ctx.snapshot->NonEmptyEntries(cell)) {
     if (emitted[entry.vehicle]) continue;
-    const Distance l_ox = ctx.grid->LowerBound(d, entry.ox);
-    const Distance l_oy =
-        entry.tail ? 0.0 : ctx.grid->LowerBound(d, entry.oy);
-    // Lemma 7.
+    // Lemmas 7 and 9.
     if (env.pruning.edge_level &&
-        lemmas::DestEdgeInfeasible(entry.capacity, riders, entry.detour,
-                                   l_ox, l_oy, entry.leg_dist, entry.tail)) {
+        PrunedOnEitherBound(ctx.grid, ctx.prune, stats,
+                            DestGapLemma{EntryGap(entry), env, skyline})) {
       ++stats.pruned_vehicles;
-      ++stats.lemma_hits[7];
       continue;
-    }
-    // Lemma 9.
-    if (env.pruning.edge_level && !skyline.empty() &&
-        lemmas::DestEdgePruned(entry.dist_tr, l_ox, l_oy, entry.leg_dist,
-                               entry.tail, epsilon, env.direct,
-                               skyline.options(), env.fn)) {
-      ++stats.pruned_vehicles;
-      ++stats.lemma_hits[9];
-      continue;
-    }
-    // GeoPrune: Lemmas 7 and 9 on the calibrated-Euclidean bounds.
-    if (ctx.prune != nullptr && env.pruning.edge_level) {
-      ++stats.ellipse_checked;
-      const Distance e_ox = ctx.prune->LowerBound(d, entry.ox);
-      const Distance e_oy =
-          entry.tail ? 0.0 : ctx.prune->LowerBound(d, entry.oy);
-      if (lemmas::DestEdgeInfeasible(entry.capacity, riders, entry.detour,
-                                     e_ox, e_oy, entry.leg_dist,
-                                     entry.tail)) {
-        ++stats.ellipse_pruned;
-        ++stats.pruned_vehicles;
-        continue;
-      }
-      if (!skyline.empty() &&
-          lemmas::DestEdgePruned(entry.dist_tr, e_ox, e_oy, entry.leg_dist,
-                                 entry.tail, epsilon, env.direct,
-                                 skyline.options(), env.fn)) {
-        ++stats.ellipse_pruned;
-        ++stats.pruned_vehicles;
-        continue;
-      }
     }
     emitted[entry.vehicle] = 1;
     out->push_back(entry.vehicle);

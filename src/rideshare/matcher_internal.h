@@ -1,5 +1,8 @@
-// Shared machinery for the three matching algorithms: vehicle verification
-// (Algorithm 4, find_result) and the lemma-based insertion hooks.
+// Shared machinery for the three matching algorithms: candidate collection
+// (Algorithms 2 and 3, and Algorithm 5's d side), vehicle verification
+// (Algorithm 4, find_result) and the insertion hooks. Each edge-level lemma
+// has one copy in matcher_internal.cc, run on the grid's lower bound and
+// then on GeoPrune's (DESIGN.md §13).
 
 #ifndef PTAR_RIDESHARE_MATCHER_INTERNAL_H_
 #define PTAR_RIDESHARE_MATCHER_INTERNAL_H_
@@ -20,9 +23,6 @@ struct RequestEnv {
   PruningConfig pruning;  ///< Which lemma families are active.
 };
 
-/// Exact distance callback bound to the context's oracle.
-KineticTree::DistFn OracleDistFn(MatchContext& ctx);
-
 /// True when the context carries a work budget and it is spent. Matchers
 /// call this only at safe points — between cells and between vehicle
 /// verifications — so stopping never leaves a half-verified option behind.
@@ -35,44 +35,30 @@ inline void ChargeBudget(MatchContext& ctx, std::uint64_t units) {
   if (ctx.budget != nullptr) ctx.budget->Charge(units);
 }
 
-/// Builds insertion hooks that evaluate Lemmas 3/5 (s side) and
-/// 7/9/11 + Def. 7 (d side) against the evolving skyline. Returns null
-/// hooks (full enumeration) when env.pruning.insertion_hooks is off. The
-/// references (including `counters`, which may not be null) must outlive
-/// the returned hooks.
-InsertionHooks MakeLemmaHooks(const RequestEnv& env, const GridIndex& grid,
-                              const SkylineSet& skyline,
-                              LemmaCounters* counters);
-
-/// GeoPrune insertion hooks: the same s-side (Lemmas 3/5) and d-side
-/// (Lemmas 7/9/11 + Def. 7) predicates evaluated on the prefilter's
-/// calibrated-Euclidean lower bounds instead of the grid bounds — including
-/// the same-gap guard on the Lemma 9 analog. Rejections are counted into
-/// stats->ellipse_checked / ellipse_pruned (not lemma_hits, which stays
-/// grid-bound attribution). Used standalone by BA-style matchers under
-/// --prune=ellipse and composed with the grid hooks elsewhere.
-InsertionHooks MakeEllipseHooks(const RequestEnv& env,
-                                const prune::EllipsePrefilter& prefilter,
-                                const SkylineSet& skyline, MatchStats* stats);
-
-/// Chains two hook sets: `first` is consulted before `second`, short-
-/// circuiting on the first rejection. Null members pass through.
-InsertionHooks CombineHooks(InsertionHooks first, InsertionHooks second);
-
-/// The insertion hooks a grid matcher should use for this context: the
-/// lemma hooks, chained with the GeoPrune hooks when ctx.prune is set.
-InsertionHooks MakeContextHooks(const RequestEnv& env, MatchContext& ctx,
-                                const SkylineSet& skyline, MatchStats* stats);
+/// Insertion hooks that evaluate Lemmas 5 and 3 at each s position and
+/// Lemmas 7, 9 and 11 (with Definition 7) at each d position against the
+/// evolving skyline: on `grid`'s bound first, then on `prune`'s
+/// calibrated-Euclidean bound. A null bound is skipped — BA passes no grid.
+/// Grid rejections count in stats->lemma_hits, GeoPrune's in
+/// ellipse_checked / ellipse_pruned. Null hooks (full enumeration) when
+/// env.pruning.insertion_hooks is off or both bounds are null. `skyline`
+/// and `stats` must outlive the hooks.
+InsertionHooks MakeInsertionHooks(const RequestEnv& env, const GridIndex* grid,
+                                  const prune::EllipsePrefilter* prune,
+                                  const SkylineSet& skyline, MatchStats* stats);
 
 /// Verifies one empty vehicle: computes its single option exactly and
-/// inserts it (Algorithm 4, lines 1-2).
-void VerifyEmptyVehicle(KineticTree& tree, const RequestEnv& env,
+/// inserts it (Algorithm 4, lines 1-2). Under GeoPrune, Lemma 1 on the
+/// calibrated bound may prune it first.
+void VerifyEmptyVehicle(const KineticTree& tree, const RequestEnv& env,
                         MatchContext& ctx, SkylineSet& skyline,
                         MatchStats& stats);
 
 /// Verifies one non-empty vehicle: kinetic-tree insertion with the given
-/// hooks, one option per surviving candidate (Algorithm 4, lines 3-4).
-void VerifyNonEmptyVehicle(KineticTree& tree, const RequestEnv& env,
+/// hooks, one option per surviving candidate (Algorithm 4, lines 3-4). The
+/// tree must be fresh (the engine refreshes stale trees before it takes
+/// the snapshot); a stale one stops at EnumerateInsertions' CHECK.
+void VerifyNonEmptyVehicle(const KineticTree& tree, const RequestEnv& env,
                            MatchContext& ctx, const InsertionHooks& hooks,
                            SkylineSet& skyline, MatchStats& stats);
 

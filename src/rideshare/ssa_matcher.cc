@@ -22,7 +22,7 @@ MatchResult SsaMatcher::Match(const Request& request, MatchContext& ctx) {
   MatchStats stats;
   std::vector<char> emitted(ctx.fleet->size(), 0);
   const InsertionHooks hooks =
-      internal::MakeContextHooks(env, ctx, skyline, &stats);
+      internal::MakeInsertionHooks(env, ctx.grid, ctx.prune, skyline, &stats);
 
   const CellId start_cell = ctx.grid->CellOfVertex(request.start);
   const std::span<const CellId> cells =

@@ -39,7 +39,9 @@
 #include "kinetic/kinetic_tree.h"
 #include "kinetic/tree_auditor.h"
 #include "prune/ellipse_prefilter.h"
+#include "rideshare/grid_scan_matcher.h"
 #include "rideshare/matcher.h"
+#include "rideshare/ssa_matcher.h"
 #include "sim/overload.h"
 
 namespace ptar {
@@ -260,14 +262,15 @@ class Engine {
   AuditReport AuditFleet();
 
   /// Installs `factory(slot)` as the fault hook on every matching oracle
-  /// of later waves: one oracle per (worker, matcher slot), and the factory
-  /// is called once per oracle with that oracle's slot (0 = committing) —
+  /// of later calls: one oracle per (worker, matcher slot), and each call
+  /// invokes the factory once per oracle with its slot (0 = committing) —
   /// but never on the maintenance oracle, which stays a trusted distance
   /// source for commits, refreshes, and audits. A factory (rather than one
   /// hook) keeps per-hook state unshared across concurrently-used oracles,
   /// and the slot argument lets callers exempt chosen slots (the
   /// differential harness keeps its reference matcher clean) by returning
-  /// a null hook. Pass nullptr to uninstall.
+  /// a null hook. Pass nullptr to uninstall: the next call clears every
+  /// matching oracle's hook.
   void SetFaultHookFactory(
       std::function<DistanceOracle::FaultHook(std::size_t slot)> factory) {
     fault_hook_factory_ = std::move(factory);
@@ -365,6 +368,21 @@ class Engine {
     std::unordered_set<RequestId> onboard;  ///< For sharing-rate tracking.
   };
 
+  /// Everything one (worker, matcher slot) pair owns.
+  struct SlotCtx {
+    Matcher* matcher = nullptr;  ///< The call's full-level matcher.
+    std::unique_ptr<DistanceOracle> oracle;
+    WorkBudget budget;
+  };
+  /// Everything one matcher worker owns. Nothing here is shared between
+  /// workers, so the parallel phase reads only the snapshot and writes only
+  /// pre-assigned per-request entries.
+  struct WorkerCtx {
+    std::vector<SlotCtx> slots;
+    SsaMatcher ssa{0.16};       ///< Slot 0's kSsa fallback (paper default).
+    GridScanMatcher grid_scan;  ///< Slot 0's kGridScan fallback.
+  };
+
   KineticTree::DistFn MaintenanceDistFn();
   /// The one request loop behind RunPipelined and ProcessRequest.
   /// `matchers[w][s]` runs slot s on worker w (slot 0 commits). When
@@ -432,6 +450,11 @@ class Engine {
   /// Matcher workers; created lazily on the first wave when
   /// options.engine_threads > 1.
   std::unique_ptr<ThreadPool> pool_;
+  /// Per-(worker, slot) matching state, created on the first call and kept
+  /// across calls, so each oracle labels components and allocates its
+  /// workspace and rows once per engine rather than once per call. Slots
+  /// grow when a call brings more of them.
+  std::vector<WorkerCtx> worker_ctxs_;
   /// Held across each whole wave (admission through commit) and by
   /// AuditFleet. Between waves — and whenever no wave runs — the fleet,
   /// registry, and metrics are quiesced, which is the only state an outside

@@ -33,8 +33,6 @@
 
 #include "common/timer.h"
 #include "obs/trace.h"
-#include "rideshare/grid_scan_matcher.h"
-#include "rideshare/ssa_matcher.h"
 #include "rideshare/work_budget.h"
 #include "sim/engine.h"
 
@@ -84,22 +82,6 @@ struct InFlight {
   std::uint64_t conflicts = 0;       ///< Times a lower id took the vehicle.
   std::uint64_t rematch_rounds = 0;  ///< Snapshot re-matches run.
   bool serial_tail = false;          ///< Exhausted the re-match bound.
-};
-
-/// Everything one (worker, slot) pair owns.
-struct SlotCtx {
-  Matcher* matcher = nullptr;  ///< Full-level matcher (not owned).
-  std::unique_ptr<DistanceOracle> oracle;
-  WorkBudget budget;
-};
-
-/// Everything one matcher worker owns. Nothing here is shared between
-/// workers, so the parallel phase reads only the snapshot and writes only
-/// pre-assigned InFlight entries.
-struct WorkerCtx {
-  std::vector<SlotCtx> slots;
-  SsaMatcher ssa{0.16};       ///< Slot 0's kSsa fallback (paper default).
-  GridScanMatcher grid_scan;  ///< Slot 0's kGridScan fallback.
 };
 
 /// One unit of parallel work: slot `slot` of pending request `index`.
@@ -170,17 +152,22 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
     });
   }
 
-  // Per-(worker, slot) state; oracle (w, s) takes fault hook slot s.
-  std::vector<WorkerCtx> worker_ctxs(workers);
+  // Per-(worker, slot) state, kept across calls. This call's matchers and
+  // fault hooks are installed afresh: oracle (w, s) takes hook slot s, or
+  // none when no factory is set.
+  if (worker_ctxs_.size() < workers) worker_ctxs_.resize(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    worker_ctxs[w].slots.resize(num_slots);
+    std::vector<SlotCtx>& slots = worker_ctxs_[w].slots;
+    if (slots.size() < num_slots) slots.resize(num_slots);
     for (std::size_t s = 0; s < num_slots; ++s) {
-      SlotCtx& slot = worker_ctxs[w].slots[s];
+      SlotCtx& slot = slots[s];
       slot.matcher = matchers[w][s];
-      slot.oracle = std::make_unique<DistanceOracle>(graph_, ch_graph_.get());
-      if (fault_hook_factory_) {
-        slot.oracle->SetFaultHook(fault_hook_factory_(s));
+      if (slot.oracle == nullptr) {
+        slot.oracle =
+            std::make_unique<DistanceOracle>(graph_, ch_graph_.get());
       }
+      slot.oracle->SetFaultHook(
+          fault_hook_factory_ ? fault_hook_factory_(s) : nullptr);
     }
   }
 
@@ -392,8 +379,8 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
       event.matcher = level == DegradeLevel::kFull
                           ? stats.matchers[0].name
                           : (level == DegradeLevel::kSsa
-                                 ? worker_ctxs[0].ssa.name()
-                                 : worker_ctxs[0].grid_scan.name());
+                                 ? worker_ctxs_[0].ssa.name()
+                                 : worker_ctxs_[0].grid_scan.name());
       event.budget_limit = inf.budget_limit;
       event.budget_spent = inf.budget_spent;
       event.budget_exhausted = inf.budget_exhausted;
@@ -520,7 +507,7 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
         parallel_match(units.size(), [&](std::size_t w) {
           for (std::size_t u = w; u < units.size(); u += workers) {
             match_unit(pending[units[u].index], units[u].slot,
-                       worker_ctxs[w], snapshot);
+                       worker_ctxs_[w], snapshot);
           }
         });
         wave_match_us->Add(timer.ElapsedMicros());
@@ -559,7 +546,7 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
         for (InFlight& inf : losers) {
           ++stats.serial_rematches;
           inf.serial_tail = true;
-          match_unit(inf, 0, worker_ctxs[0], registry_.TakeSnapshot());
+          match_unit(inf, 0, worker_ctxs_[0], registry_.TakeSnapshot());
           finish(inf, ChooseOption(inf.out.results[0].options), wave_timer);
         }
         break;
@@ -580,13 +567,16 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
   // Oracle batching stats: the committing slot's workers merge into ONE
   // key (the sum over requests is identical at every thread count: each
   // request's match work is deterministic and worker assignment only
-  // partitions it), each shadow slot's into its slot key.
-  for (WorkerCtx& wctx : worker_ctxs) {
+  // partitions it), each shadow slot's into its slot key. The oracles
+  // outlive the call, so each harvest resets what it took.
+  for (std::size_t w = 0; w < workers; ++w) {
     for (std::size_t s = 0; s < num_slots; ++s) {
+      DistanceOracle& oracle = *worker_ctxs_[w].slots[s].oracle;
       metrics_.MergeBatchStats(
           s == 0 ? std::string("pipeline/match/batch")
                  : slot_keys[s] + "/batch",
-          wctx.slots[s].oracle->batch_stats());
+          oracle.batch_stats());
+      oracle.ResetBatchStats();
     }
   }
   if (pool_ != nullptr) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "rideshare/baseline_matcher.h"
 #include "rideshare/dsa_matcher.h"
 #include "rideshare/grid_scan_matcher.h"
@@ -224,10 +226,13 @@ TEST(EngineTest, KineticMemoryTracksLoad) {
 }
 
 TEST(EngineTest, EachMatchFillsAtMostTwoRows) {
-  // Every distance a matcher reads has s or d as an endpoint (or is a tree
-  // Refresh leg), so a match runs at most two one-to-all searches.
+  // Every distance a matcher reads has s or d as an endpoint, so a match
+  // runs at most two one-to-all searches. The stream runs as two calls on
+  // one engine: the matching oracles outlive a call, so a harvest that
+  // counted an earlier call's sweeps again would break the bound.
   GridWorld w = MakeWorld();
   const std::vector<Request> requests = MakeRequests(*w.graph, 40);
+  const std::span<const Request> all(requests);
   const std::pair<const char*, MatcherFactory> matchers[] = {
       {"SSA", FactoryOf<SsaMatcher>(0.5)},
       {"DSA", FactoryOf<DsaMatcher>(0.5)},
@@ -239,15 +244,56 @@ TEST(EngineTest, EachMatchFillsAtMostTwoRows) {
     opts.engine_threads = 2;
     opts.wave_size = 4;
     Engine engine(w.graph.get(), w.grid.get(), opts);
-    const RunStats stats = engine.RunPipelined(requests, factory);
-    const std::uint64_t match_calls =
-        requests.size() + stats.rematches + stats.serial_rematches;
+    std::uint64_t match_calls = 0;
+    std::uint64_t served = 0;
+    for (const std::span<const Request> part :
+         {all.first(20), all.subspan(20)}) {
+      const RunStats stats = engine.RunPipelined(part, factory);
+      match_calls += part.size() + stats.rematches + stats.serial_rematches;
+      served += stats.served;
+    }
     const std::uint64_t sweeps =
         engine.metrics().Counter("pipeline/match/batch/sweeps");
-    EXPECT_GT(stats.served, 0u) << name;
+    EXPECT_GT(served, 0u) << name;
     EXPECT_GT(sweeps, 0u) << name;
     EXPECT_LE(sweeps, 2 * match_calls) << name;
   }
+}
+
+TEST(EngineTest, RemovedFaultHookFactoryLeavesNoHookBehind) {
+  // The matching oracles outlive a call, and every call installs its fault
+  // hooks afresh: after the factory is removed, no oracle still fails.
+  GridWorld w = MakeWorld();
+  const std::vector<Request> requests = MakeRequests(*w.graph, 24);
+  const std::span<const Request> all(requests);
+  EngineOptions opts;
+  opts.num_vehicles = 12;
+  opts.engine_threads = 2;
+  opts.wave_size = 4;
+  Engine engine(w.graph.get(), w.grid.get(), opts);
+  engine.SetFaultHookFactory([](std::size_t) -> DistanceOracle::FaultHook {
+    return [](VertexId, VertexId) { return true; };
+  });
+  const RunStats faulted = engine.RunPipelined(
+      all.first(12), FactoryOf<SsaMatcher>(0.5), nullptr,
+      {FactoryOf<DsaMatcher>(0.5)});
+  EXPECT_EQ(faulted.partial_skylines, 12u);
+
+  engine.SetFaultHookFactory(nullptr);
+  SsaMatcher ssa(0.5);
+  DsaMatcher dsa(0.5);
+  const std::vector<Matcher*> slots = {&ssa, &dsa};
+  std::uint64_t served = 0;
+  for (const Request& request : all.subspan(12)) {
+    const Engine::RequestOutcome outcome =
+        engine.ProcessRequest(request, slots);
+    ASSERT_EQ(outcome.results.size(), 2u);
+    for (const MatchResult& result : outcome.results) {
+      EXPECT_TRUE(result.complete) << "request " << request.id;
+    }
+    served += outcome.served ? 1 : 0;
+  }
+  EXPECT_GT(served, 0u);
 }
 
 }  // namespace

@@ -9,9 +9,12 @@
 // the same one-request waves, which spreads the shadow slots of a request
 // over the pool. Served flag, shed flag, and vehicle must match exactly;
 // pickup and price within 1e-9 relative (path sums may associate
-// differently in the last bits).
+// differently in the last bits). A second test pins the shadow scenario's
+// per-slot pruning attribution (per-lemma and GeoPrune counts), with and
+// without GeoPrune.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -77,6 +80,22 @@ GoldenLog ReadGoldenLog(const std::string& name) {
   return log;
 }
 
+/// Runs `scenario`'s matcher slots over `requests` (slot 0 commits).
+RunStats RunScenario(Engine& engine, const GoldenScenario& scenario,
+                     const std::vector<Request>& requests,
+                     std::vector<CommitRecord>* log) {
+  std::vector<MatcherFactory> shadows;
+  for (std::size_t s = 1; s < scenario.matchers.size(); ++s) {
+    const std::string name = scenario.matchers[s];
+    shadows.push_back([name] { return testing::MakeGoldenMatcher(name); });
+  }
+  const std::string committing = scenario.matchers[0];
+  return engine.RunPipelined(
+      requests,
+      [committing] { return testing::MakeGoldenMatcher(committing); }, log,
+      shadows);
+}
+
 bool NearRelative(double a, double b) {
   return std::abs(a - b) <= 1e-9 * std::max({1.0, std::abs(a), std::abs(b)});
 }
@@ -99,17 +118,8 @@ TEST(GoldenLogTest, SingleLoopReproducesOneRequestEngineLogs) {
       eopts.wave_size = threads == 1 ? 0 : 1;
       Engine engine(world.graph.get(), world.grid.get(), eopts);
       ASSERT_EQ(engine.ResolvedWaveSize(), 1);
-      std::vector<MatcherFactory> shadows;
-      for (std::size_t s = 1; s < scenario.matchers.size(); ++s) {
-        const std::string name = scenario.matchers[s];
-        shadows.push_back([name] { return testing::MakeGoldenMatcher(name); });
-      }
-      const std::string committing = scenario.matchers[0];
       std::vector<CommitRecord> log;
-      const RunStats stats = engine.RunPipelined(
-          requests,
-          [committing] { return testing::MakeGoldenMatcher(committing); },
-          &log, shadows);
+      const RunStats stats = RunScenario(engine, scenario, requests, &log);
 
       ASSERT_EQ(log.size(), golden.commits.size());
       for (std::size_t i = 0; i < log.size(); ++i) {
@@ -152,6 +162,66 @@ TEST(GoldenLogTest, SingleLoopReproducesOneRequestEngineLogs) {
         EXPECT_TRUE(NearRelative(got.precision_sum, want.precision_sum));
         EXPECT_TRUE(NearRelative(got.recall_sum, want.recall_sum));
       }
+    }
+  }
+}
+
+// Which check pruned what in the golden_shadow scenario (BA commits; SSA
+// and DSA are shadow slots), with and without GeoPrune. Per slot: the grid
+// bound's hits for Lemmas 1-11, GeoPrune's checked and pruned tests, and
+// the work totals. A refactor that reorders, regates or re-attributes a
+// lemma check moves these counts even when every skyline stays intact.
+TEST(GoldenLogTest, ShadowPruningAttributionIsPinned) {
+  // Lemma hits 1..11, then ellipse_checked, ellipse_pruned,
+  // pruned_vehicles, pruned_cells, verified_vehicles, compdists.
+  using Counts = std::array<std::uint64_t, 17>;
+  struct Pin {
+    PruneMode prune;
+    std::array<Counts, 3> slots;  // BA, SSA, DSA
+  };
+  const Pin pins[] = {
+      {PruneMode::kNone,
+       {{{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 960, 1580},
+         {4, 22, 100, 0, 134, 0, 117, 0, 40, 0, 99, 0, 0, 36, 22, 224, 498},
+         {4, 19, 50, 0, 72, 0, 62, 0, 22, 0, 49, 0, 0, 61, 19, 169, 340}}}},
+      {PruneMode::kEllipse,
+       {{{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2325, 1515, 545, 0, 415, 781},
+         {4, 22, 99, 0, 133, 0, 116, 0, 39, 0, 84, 730, 84, 71, 22, 192,
+          463},
+         {4, 19, 50, 0, 72, 0, 62, 0, 22, 0, 41, 604, 71, 99, 19, 139,
+          312}}}},
+  };
+  const GridWorld world = MakeGridWorld();
+  const std::vector<GoldenScenario> scenarios = GoldenScenarios();
+  const auto shadow = std::find_if(
+      scenarios.begin(), scenarios.end(),
+      [](const GoldenScenario& s) { return s.name == "golden_shadow"; });
+  ASSERT_NE(shadow, scenarios.end());
+  const std::vector<Request> requests =
+      MakeRequestStream(*world.graph, shadow->stream);
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.prune == PruneMode::kNone ? "prune none"
+                                               : "prune ellipse");
+    EngineOptions eopts = testing::GoldenBaseOptions();
+    shadow->configure(eopts);
+    eopts.prune = pin.prune;
+    Engine engine(world.graph.get(), world.grid.get(), eopts);
+    const RunStats stats = RunScenario(engine, *shadow, requests, nullptr);
+    ASSERT_EQ(stats.matchers.size(), pin.slots.size());
+    for (std::size_t s = 0; s < pin.slots.size(); ++s) {
+      SCOPED_TRACE("slot " + stats.matchers[s].name);
+      const MatchStats& t = stats.matchers[s].totals;
+      Counts got{};
+      for (std::size_t k = 1; k <= LemmaCounters::kNumLemmas; ++k) {
+        got[k - 1] = t.lemma_hits[k];
+      }
+      got[11] = t.ellipse_checked;
+      got[12] = t.ellipse_pruned;
+      got[13] = t.pruned_vehicles;
+      got[14] = t.pruned_cells;
+      got[15] = t.verified_vehicles;
+      got[16] = t.compdists;
+      EXPECT_EQ(got, pin.slots[s]);
     }
   }
 }

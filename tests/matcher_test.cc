@@ -7,12 +7,14 @@
 
 #include <memory>
 
+#include "graph/dijkstra.h"
 #include "graph/generators.h"
 #include "rideshare/baseline_matcher.h"
 #include "rideshare/dsa_matcher.h"
 #include "rideshare/ssa_matcher.h"
 #include "sim/engine.h"
 #include "sim/workload.h"
+#include "tests/test_util.h"
 
 namespace ptar {
 namespace {
@@ -174,6 +176,54 @@ TEST(MatcherTest, NamesAreStable) {
   EXPECT_EQ(DsaMatcher().name(), "DSA");
   EXPECT_DOUBLE_EQ(SsaMatcher().fraction(), 0.16);
   EXPECT_DOUBLE_EQ(DsaMatcher(0.5).fraction(), 0.5);
+}
+
+TEST(MatcherDeathTest, StaleTreeStopsAtEnumerateInsertions) {
+  // Matchers read the fleet; they never repair it. The engine refreshes
+  // every stale tree before it takes the snapshot, so a stale tree that
+  // reaches a matcher stops at the tree's own CHECK.
+  const RoadNetwork graph = testing::MakeSmallGrid();
+  DistanceOracle oracle(&graph);
+  const KineticTree::DistFn dist = [&oracle](VertexId a, VertexId b) {
+    return oracle.Dist(a, b);
+  };
+  const auto request = [](RequestId id, VertexId s, VertexId d) {
+    Request r;
+    r.id = id;
+    r.start = s;
+    r.destination = d;
+    r.max_wait_dist = 600.0;
+    r.epsilon = 3.0;
+    return r;
+  };
+  std::vector<KineticTree> fleet;
+  fleet.emplace_back(/*vehicle=*/0, /*location=*/4, /*capacity=*/4);
+  KineticTree& tree = fleet.front();
+  const Request r1 = request(1, 3, 5);
+  ASSERT_TRUE(tree.Commit(r1, oracle.Dist(3, 5), oracle.Dist(4, 3), dist).ok());
+  const Request r2 = request(2, 1, 7);
+  const std::vector<InsertionCandidate> candidates =
+      tree.EnumerateInsertions(r2, oracle.Dist(1, 7), dist, InsertionHooks{});
+  ASSERT_FALSE(candidates.empty());
+  ASSERT_TRUE(tree.Commit(r2, oracle.Dist(1, 7),
+                          candidates.front().pickup_dist, dist)
+                  .ok());
+  ASSERT_GT(tree.num_branches(), 1u) << "need a multi-branch tree";
+  // One edge along the active first leg leaves the other branches stale.
+  DijkstraEngine engine(&graph);
+  const VertexId target = tree.NextStopLocation();
+  engine.PointToPoint(tree.location(), target);
+  const std::vector<VertexId> path = engine.PathTo(target);
+  ASSERT_GE(path.size(), 2u);
+  tree.MoveTo(path[1], oracle.Dist(path[0], path[1]));
+  ASSERT_TRUE(tree.stale());
+
+  MatchContext ctx;
+  ctx.fleet = &fleet;
+  ctx.oracle = &oracle;
+  BaselineMatcher ba;
+  EXPECT_DEATH(ba.Match(request(3, 0, 8), ctx),
+               "Refresh\\(\\) the tree before enumerating insertions");
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ TEST(WindowedTelemetryTest, DisabledAggregatorIsInert) {
 }
 
 TEST(WindowedTelemetryTest, AssignsTimesToWindowsAndSkipsGaps) {
-  WindowedTelemetry telemetry(TelemetryOptions{10.0, 256});
+  WindowedTelemetry telemetry(TelemetryOptions{10.0});
   ASSERT_TRUE(telemetry.enabled());
   telemetry.At(1.0)->AddCounter(kWindowRequests);
   telemetry.At(9.9)->AddCounter(kWindowRequests);
@@ -43,7 +43,7 @@ TEST(WindowedTelemetryTest, AssignsTimesToWindowsAndSkipsGaps) {
 }
 
 TEST(WindowedTelemetryTest, WouldOpenNewFlagsWindowTransitions) {
-  WindowedTelemetry telemetry(TelemetryOptions{10.0, 256});
+  WindowedTelemetry telemetry(TelemetryOptions{10.0});
   EXPECT_TRUE(telemetry.WouldOpenNew(0.0));  // First window counts as new.
   telemetry.At(0.0);
   EXPECT_FALSE(telemetry.WouldOpenNew(5.0));
@@ -54,15 +54,18 @@ TEST(WindowedTelemetryTest, WouldOpenNewFlagsWindowTransitions) {
 }
 
 TEST(WindowedTelemetryTest, CoalescingDoublesWidthAndPreservesTotals) {
-  WindowedTelemetry telemetry(TelemetryOptions{1.0, 4});
-  for (int t = 0; t < 16; ++t) {
+  // Four one-second windows per ring slot: the ring overflows and must
+  // double its width at least twice.
+  constexpr std::size_t kTimes = 4 * WindowedTelemetry::kMaxWindows;
+  WindowedTelemetry telemetry(TelemetryOptions{1.0});
+  for (std::size_t t = 0; t < kTimes; ++t) {
     MetricsRegistry* w = telemetry.At(static_cast<double>(t) + 0.5);
     ASSERT_NE(w, nullptr);
     w->AddCounter(kWindowRequests);
     w->Histogram(kWindowCommitLatencyUs).Add(100.0);
   }
-  EXPECT_LE(telemetry.num_windows(), 4u);
-  EXPECT_GE(telemetry.window_seconds(), 4.0);  // Doubled at least twice.
+  EXPECT_LE(telemetry.num_windows(), WindowedTelemetry::kMaxWindows);
+  EXPECT_GE(telemetry.window_seconds(), 4.0);
 
   const TimeseriesExport exported = telemetry.Export();
   std::uint64_t total_requests = 0;
@@ -71,13 +74,13 @@ TEST(WindowedTelemetryTest, CoalescingDoublesWidthAndPreservesTotals) {
     total_requests += w.requests;
     total_latency_samples += w.commit_latency_us.count();
   }
-  EXPECT_EQ(total_requests, 16u);
-  EXPECT_EQ(total_latency_samples, 16u);
+  EXPECT_EQ(total_requests, kTimes);
+  EXPECT_EQ(total_latency_samples, kTimes);
   EXPECT_DOUBLE_EQ(exported.window_seconds, telemetry.window_seconds());
 }
 
 TEST(WindowedTelemetryTest, CurrentSloReadsTheNewestWindow) {
-  WindowedTelemetry telemetry(TelemetryOptions{10.0, 256});
+  WindowedTelemetry telemetry(TelemetryOptions{10.0});
   MetricsRegistry* w0 = telemetry.At(5.0);
   w0->AddCounter(kWindowRequests, 10);
   w0->AddCounter(kWindowShed, 5);
