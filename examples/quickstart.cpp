@@ -80,10 +80,10 @@ int main() {
   request.epsilon = 0.4;
 
   DistanceOracle match_oracle(&*graph);
-  const RegistrySnapshot snapshot = registry.TakeSnapshot();
+  registry.RebuildDirtyAggregates();  // once after writes, before matching
   MatchContext ctx;
   ctx.grid = &*grid;
-  ctx.snapshot = &snapshot;
+  ctx.registry = &registry;
   ctx.fleet = &fleet;
   ctx.oracle = &match_oracle;
 

@@ -1,15 +1,10 @@
-// Named metric counters used to report the paper's cost measures
-// (compdists, verified vehicles, pruning hits, ...).
+// Oracle batching counters (BatchStats); the metrics registry folds them in
+// with MergeBatchStats.
 
 #ifndef PTAR_COMMON_COUNTERS_H_
 #define PTAR_COMMON_COUNTERS_H_
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <thread>
-
-#include "common/logging.h"
 
 namespace ptar {
 
@@ -34,12 +29,6 @@ struct BatchStats {
   /// compdist; later reads of the pair are free).
   std::uint64_t warm_hits = 0;
 
-  double MeanPairsPerSweep() const {
-    return sweeps == 0 ? 0.0
-                       : static_cast<double>(pairs_swept) /
-                             static_cast<double>(sweeps);
-  }
-
   void MergeFrom(const BatchStats& other) {
     batch_calls += other.batch_calls;
     sweeps += other.sweeps;
@@ -48,73 +37,6 @@ struct BatchStats {
     pairs_swept += other.pairs_swept;
     warm_hits += other.warm_hits;
   }
-};
-
-/// A bag of named monotonically increasing counters. Not thread-safe; each
-/// matcher / engine owns its own set. Debug builds enforce the ownership
-/// contract: the first mutating call pins the set to the calling thread and
-/// every later mutation DCHECKs it, so a refactor that starts mutating a
-/// shared set from pool workers fails loudly instead of silently racing.
-/// Legitimate cross-thread hand-off (merge after a pool join) goes through
-/// AdoptByCurrentThread(). The thread-safe aggregation path is
-/// obs::MetricsRegistry::MergeCounterSet, which each joining owner calls
-/// from the merging thread.
-class CounterSet {
- public:
-  void Add(const std::string& name, std::uint64_t delta = 1) {
-    AssertOwnedByCurrentThread();
-    counters_[name] += delta;
-  }
-
-  std::uint64_t Get(const std::string& name) const {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-  }
-
-  void Reset() {
-    AssertOwnedByCurrentThread();
-    counters_.clear();
-  }
-
-  const std::map<std::string, std::uint64_t>& counters() const {
-    return counters_;
-  }
-
-  /// Merges another set into this one by summing matching names. Both sets
-  /// must be quiescent: the writer threads that filled `other` must have
-  /// been joined before the merge.
-  void MergeFrom(const CounterSet& other) {
-    AssertOwnedByCurrentThread();
-    for (const auto& [name, value] : other.counters_) {
-      counters_[name] += value;
-    }
-  }
-
-  /// Re-homes the set to the calling thread after a legitimate hand-off
-  /// (e.g. a worker-filled set merged on the main thread post-join).
-  void AdoptByCurrentThread() {
-#ifndef NDEBUG
-    owner_ = std::this_thread::get_id();
-#endif
-  }
-
- private:
-  void AssertOwnedByCurrentThread() {
-#ifndef NDEBUG
-    if (owner_ == std::thread::id{}) {
-      owner_ = std::this_thread::get_id();
-    } else {
-      PTAR_DCHECK(owner_ == std::this_thread::get_id())
-          << "CounterSet mutated from a second thread without "
-             "AdoptByCurrentThread(); CounterSet is not thread-safe";
-    }
-#endif
-  }
-
-  std::map<std::string, std::uint64_t> counters_;
-#ifndef NDEBUG
-  std::thread::id owner_{};  ///< Pinned by the first mutation.
-#endif
 };
 
 }  // namespace ptar

@@ -19,15 +19,18 @@
 //
 // Two rows per request. Every distance a matcher reads has the request's
 // pickup s or dropoff d as one endpoint (matchers never refresh a kinetic
-// tree; the engine does that before matching). BeginRequest(s, d) anchors
-// row 0 at s and row 1 at d; a Dist(a, b) with s as an endpoint reads s's
-// row, otherwise one with d reads d's row, and everything else goes to the
-// memo and a point-to-point search — a path no matcher takes, which serves
-// the engine's maintenance oracle and the reference matcher. A row
-// is one full one-to-all search from its anchor, run on the row's first
-// read (so a request that never reads d's row never fills it) into arrays
-// allocated on the first fill (so an oracle that never anchors pays
-// nothing). A per-row read mark counts each pair once per request.
+// tree; the engine does that before matching), and so does every leg the
+// engine's commit of the chosen option reads: the matching oracles and
+// the engine's maintenance oracle both call BeginRequest(s, d), which
+// anchors row 0 at s and row 1 at d; a Dist(a, b) with s as an endpoint
+// reads s's row, otherwise one with d reads d's row, and everything else
+// goes to the memo and a point-to-point search — a path no matcher or
+// commit takes, which serves the maintenance oracle's refreshes, routes
+// and audits, and the reference matcher. A row is one full one-to-all
+// search from its anchor, run on the row's first read (so a request that
+// never reads d's row never fills it) into arrays allocated on the first
+// fill (so an oracle that never anchors pays nothing). A per-row read mark
+// counts each pair once per request.
 //
 // Bit-determinism contract: within one request (between BeginRequest or
 // ClearCache calls) every query for a pair returns the exact same double.

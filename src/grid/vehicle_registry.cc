@@ -13,32 +13,17 @@ const CellAggregates kEmptyAggregates{};
 
 VehicleRegistry::VehicleRegistry(const GridIndex* grid) : grid_(grid) {
   PTAR_CHECK(grid != nullptr);
-  shards_.resize(kNumShards);
-  for (Shard& shard : shards_) {
-    shard.state = std::make_shared<ShardState>();
-  }
-}
-
-VehicleRegistry::ShardState& VehicleRegistry::MutableShard(int shard) {
-  Shard& s = shards_[static_cast<std::size_t>(shard)];
-  // COW: only pays when a snapshot still references this shard's state.
-  if (s.state.use_count() > 1) {
-    s.state = std::make_shared<ShardState>(*s.state);
-  }
-  ++s.epoch;
-  return *s.state;
 }
 
 VehicleRegistry::CellState& VehicleRegistry::StateFor(CellId cell) {
-  return MutableShard(ShardOfCell(cell)).cells[cell];
+  ++epoch_;
+  return cells_[cell];
 }
 
 const VehicleRegistry::CellState* VehicleRegistry::FindState(
     CellId cell) const {
-  const ShardState& shard =
-      *shards_[static_cast<std::size_t>(ShardOfCell(cell))].state;
-  auto it = shard.cells.find(cell);
-  return it == shard.cells.end() ? nullptr : &it->second;
+  auto it = cells_.find(cell);
+  return it == cells_.end() ? nullptr : &it->second;
 }
 
 void VehicleRegistry::AddEmptyVehicle(VehicleId vehicle, VertexId location) {
@@ -131,8 +116,9 @@ std::span<const KineticEdgeEntry> VehicleRegistry::NonEmptyEntries(
   return state->edges;
 }
 
-void VehicleRegistry::RebuildAggregates(CellId cell,
-                                        const CellState& state) const {
+CellAggregates VehicleRegistry::ComputeAggregates(const GridIndex& grid,
+                                                  CellId cell,
+                                                  const CellState& state) {
   CellAggregates agg;
   for (const KineticEdgeEntry& entry : state.edges) {
     agg.any = true;
@@ -141,8 +127,8 @@ void VehicleRegistry::RebuildAggregates(CellId cell,
     agg.max_detour = std::max(agg.max_detour, entry.detour);
     // Triangle-inequality corrections for endpoints outside this cell
     // (see the CellAggregates contract in the header).
-    const bool ox_in = grid_->CellOfVertex(entry.ox) == cell;
-    const bool oy_in = !entry.tail && grid_->CellOfVertex(entry.oy) == cell;
+    const bool ox_in = grid.CellOfVertex(entry.ox) == cell;
+    const bool oy_in = !entry.tail && grid.CellOfVertex(entry.oy) == cell;
     const Distance adj_dist_tr =
         entry.dist_tr - (ox_in ? 0.0 : entry.leg_dist);
     const int endpoints_in = (ox_in ? 1 : 0) + (oy_in ? 1 : 0);
@@ -150,98 +136,39 @@ void VehicleRegistry::RebuildAggregates(CellId cell,
     agg.min_dist_tr = std::min(agg.min_dist_tr, adj_dist_tr);
     agg.max_leg_dist = std::max(agg.max_leg_dist, adj_leg);
   }
-  state.aggregates = agg;
-  state.aggregates_dirty = false;
+  return agg;
 }
 
 const CellAggregates& VehicleRegistry::Aggregates(CellId cell) const {
   const CellState* state = FindState(cell);
   if (state == nullptr) return kEmptyAggregates;
-  if (state->aggregates_dirty) RebuildAggregates(cell, *state);
+  PTAR_DCHECK(!state->aggregates_dirty)
+      << "aggregates of cell " << cell << " read before the rebuild";
   return state->aggregates;
 }
 
 void VehicleRegistry::RebuildDirtyAggregates() {
-  // Rebuilds write through `mutable` members only — cell contents and shard
-  // membership are untouched, so no epoch bump and no COW: an open snapshot
-  // sharing the shard sees the same (clean) aggregate values by definition,
-  // since rebuilds are deterministic in the entries.
-  for (const Shard& shard : shards_) {
-    for (const auto& [cell, state] : shard.state->cells) {
-      if (state.aggregates_dirty) RebuildAggregates(cell, state);
-    }
+  for (auto& [cell, state] : cells_) {
+    if (!state.aggregates_dirty) continue;
+    state.aggregates = ComputeAggregates(*grid_, cell, state);
+    state.aggregates_dirty = false;
   }
-}
-
-VehicleRegistry::Snapshot VehicleRegistry::TakeSnapshot() {
-  // Snapshot reads must be pure (no mutable-rebuild races across worker
-  // threads), so flush lazy aggregate work up front.
-  RebuildDirtyAggregates();
-  Snapshot snap;
-  snap.shards_.reserve(shards_.size());
-  snap.epochs_.reserve(shards_.size());
-  for (const Shard& shard : shards_) {
-    snap.shards_.push_back(shard.state);
-    snap.epochs_.push_back(shard.epoch);
-    snap.global_epoch_ += shard.epoch;
-  }
-  return snap;
-}
-
-std::uint64_t VehicleRegistry::GlobalEpoch() const {
-  std::uint64_t total = 0;
-  for (const Shard& shard : shards_) total += shard.epoch;
-  return total;
-}
-
-const VehicleRegistry::CellState* VehicleRegistry::Snapshot::FindCell(
-    CellId cell) const {
-  const ShardState& shard = *shards_[cell % shards_.size()];
-  auto it = shard.cells.find(cell);
-  return it == shard.cells.end() ? nullptr : &it->second;
-}
-
-std::span<const VehicleId> VehicleRegistry::Snapshot::EmptyVehicles(
-    CellId cell) const {
-  const CellState* state = FindCell(cell);
-  if (state == nullptr) return {};
-  return state->empty_vehicles;
-}
-
-std::span<const KineticEdgeEntry> VehicleRegistry::Snapshot::NonEmptyEntries(
-    CellId cell) const {
-  const CellState* state = FindCell(cell);
-  if (state == nullptr) return {};
-  return state->edges;
-}
-
-const CellAggregates& VehicleRegistry::Snapshot::Aggregates(
-    CellId cell) const {
-  const CellState* state = FindCell(cell);
-  if (state == nullptr) return kEmptyAggregates;
-  // TakeSnapshot() rebuilt dirty aggregates before capture; a dirty cell
-  // here means someone snapshotted state that was mutated through a
-  // non-registry path, which the design forbids.
-  PTAR_DCHECK(!state->aggregates_dirty)
-      << "snapshot observed dirty aggregates for cell " << cell;
-  return state->aggregates;
 }
 
 std::size_t VehicleRegistry::AuditAggregates(
-    std::vector<std::string>* findings) const {
+    std::vector<std::string>* findings) {
   std::size_t checked = 0;
-  for (const Shard& shard : shards_) {
-    for (const auto& [cell, state] : shard.state->cells) {
-      if (state.aggregates_dirty) continue;  // rebuilt before next use
-      ++checked;
-      const CellAggregates stored = state.aggregates;
-      RebuildAggregates(cell, state);
-      if (!(stored == state.aggregates) && findings != nullptr) {
-        findings->push_back("cell " + std::to_string(cell) +
-                            ": stored aggregates diverge from a fresh "
-                            "rebuild of its registered edges");
-      }
+  for (auto& [cell, state] : cells_) {
+    if (state.aggregates_dirty) continue;  // rebuilt before next use
+    ++checked;
+    const CellAggregates fresh = ComputeAggregates(*grid_, cell, state);
+    if (fresh == state.aggregates) continue;
+    if (findings != nullptr) {
+      findings->push_back("cell " + std::to_string(cell) +
+                          ": stored aggregates diverge from a fresh "
+                          "rebuild of its registered edges");
     }
+    state.aggregates = fresh;  // repair
   }
   return checked;
 }
@@ -263,14 +190,11 @@ std::size_t VehicleRegistry::MemoryBytes() const {
     block(buckets, sizeof(void*));
     bytes += nodes * (entry + sizeof(void*) + kAllocOverhead);
   };
-  for (const Shard& shard : shards_) {
-    bytes += sizeof(Shard) + sizeof(ShardState) + kAllocOverhead;
-    table(shard.state->cells.bucket_count(), shard.state->cells.size(),
-          sizeof(std::pair<const CellId, CellState>));
-    for (const auto& [cell, state] : shard.state->cells) {
-      block(state.empty_vehicles.capacity(), sizeof(VehicleId));
-      block(state.edges.capacity(), sizeof(KineticEdgeEntry));
-    }
+  table(cells_.bucket_count(), cells_.size(),
+        sizeof(std::pair<const CellId, CellState>));
+  for (const auto& [cell, state] : cells_) {
+    block(state.empty_vehicles.capacity(), sizeof(VehicleId));
+    block(state.edges.capacity(), sizeof(KineticEdgeEntry));
   }
   table(vehicle_edge_cells_.bucket_count(), vehicle_edge_cells_.size(),
         sizeof(std::pair<const VehicleId, std::vector<CellId>>));

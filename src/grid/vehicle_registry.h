@@ -10,27 +10,17 @@
 //
 //   max capacity, max detour, min dist_tr, max dist(o_x, o_y).
 //
-// Aggregates are maintained lazily: mutations mark the cell dirty and the
-// next Aggregates() call rebuilds them in one pass over the cell's entries.
-//
-// Sharding & epoch snapshots (request-parallel engine). Cell state is
-// partitioned into kNumShards shards by cell id; each shard's state lives
-// behind a copy-on-write shared_ptr and carries a monotonically increasing
-// epoch (bumped on every mutation that touches the shard). TakeSnapshot()
-// captures all shard pointers plus their epochs in O(kNumShards); the
-// snapshot is an immutable, consistent view that concurrent matcher workers
-// read without any lock. A writer mutating a shard whose state is shared
-// with an open snapshot first clones that shard (never the whole registry),
-// so snapshots are isolated from later writes at shard granularity while
-// the steady state — no snapshot open — mutates in place at the same cost
-// as the unsharded registry.
+// Mutations mark a cell's aggregates dirty; RebuildDirtyAggregates()
+// recomputes every dirty cell in one pass over its entries, and reads are
+// pure. The engine rebuilds before each match round, so matcher workers
+// read the registry in place, without a lock: no write runs while a round
+// matches (DESIGN.md §12).
 
 #ifndef PTAR_GRID_VEHICLE_REGISTRY_H_
 #define PTAR_GRID_VEHICLE_REGISTRY_H_
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -98,11 +88,6 @@ struct CellAggregates {
 
 class VehicleRegistry {
  public:
-  /// Shard count: enough that the COW clone paid when a snapshot is open
-  /// touches ~1/16 of the cells, small enough that TakeSnapshot() stays a
-  /// handful of pointer copies.
-  static constexpr int kNumShards = 16;
-
   explicit VehicleRegistry(const GridIndex* grid);
 
   VehicleRegistry(const VehicleRegistry&) = delete;
@@ -138,17 +123,13 @@ class VehicleRegistry {
 
   std::span<const KineticEdgeEntry> NonEmptyEntries(CellId cell) const;
 
-  /// Aggregates for the cell-level pruning lemmas; rebuilt lazily.
-  ///
-  /// The lazy rebuild writes through `mutable` members, so this live read
-  /// is single-threaded; matchers read a TakeSnapshot() view instead, whose
-  /// aggregates are rebuilt at capture.
+  /// Aggregates for the cell-level pruning lemmas. A pure read: the cell
+  /// must be clean, i.e. RebuildDirtyAggregates() ran after its last write.
   const CellAggregates& Aggregates(CellId cell) const;
 
-  /// Eagerly rebuilds every dirty cell's aggregates. Aggregate values only
-  /// depend on the cell's registered edges, so eager and lazy rebuilds
-  /// produce identical results; this just moves the work before a parallel
-  /// read phase.
+  /// Rebuilds every dirty cell's aggregates from its registered edges. The
+  /// one rebuild: callers run it after a batch of writes and before
+  /// reading aggregates.
   void RebuildDirtyAggregates();
 
   /// Consistency audit (kinetic/tree_auditor): recomputes every *clean*
@@ -157,104 +138,42 @@ class VehicleRegistry {
   /// deterministic, so any difference is corruption, not rounding). Dirty
   /// cells are skipped — they are rebuilt before their next use by
   /// contract. Appends one line per inconsistent cell to `findings` (may be
-  /// null) and returns the number of clean cells checked; the stored
-  /// aggregates are repaired as a side effect of the recompute.
-  std::size_t AuditAggregates(std::vector<std::string>* findings) const;
+  /// null), repairs that cell's stored aggregates, and returns the number
+  /// of clean cells checked.
+  std::size_t AuditAggregates(std::vector<std::string>* findings);
 
   /// Approximate resident memory of the dynamic lists, in bytes.
   std::size_t MemoryBytes() const;
 
   const GridIndex& grid() const { return *grid_; }
 
-  // --- Sharding & epoch snapshots. ---
-
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  int ShardOfCell(CellId cell) const {
-    return static_cast<int>(cell % shards_.size());
-  }
-  /// Monotonic per-shard mutation counter (bumped before every write that
-  /// touches the shard). Never decreases; equal epochs imply an unchanged
-  /// shard.
-  std::uint64_t ShardEpoch(int shard) const { return shards_[shard].epoch; }
-  /// Sum of all shard epochs; equal global epochs imply an unchanged
-  /// registry. A "quiesced epoch" in the engine sense is a global epoch
-  /// observed while no pipeline wave is in flight.
-  std::uint64_t GlobalEpoch() const;
+  /// Writes so far: bumped once per cell state a mutation touches, never
+  /// decreased. Equal values imply an unchanged registry. The lifecycle
+  /// log's `epoch` is this count when the committing match ran.
+  std::uint64_t epoch() const { return epoch_; }
 
  private:
   struct CellState {
     std::vector<VehicleId> empty_vehicles;
     std::vector<KineticEdgeEntry> edges;
-    mutable CellAggregates aggregates;
-    mutable bool aggregates_dirty = true;
+    CellAggregates aggregates;
+    bool aggregates_dirty = true;
   };
 
-  /// Value-type shard payload; cloned wholesale by the COW write path.
-  struct ShardState {
-    // Sparse: only cells that ever held a vehicle get state.
-    std::unordered_map<CellId, CellState> cells;
-  };
-
-  struct Shard {
-    std::shared_ptr<ShardState> state;
-    std::uint64_t epoch = 0;
-  };
-
- public:
-  /// Immutable, consistent view of the whole registry, captured in
-  /// O(num_shards). Readers need no lock: a writer that mutates a shard
-  /// shared with this snapshot clones the shard first, so the view is
-  /// frozen at capture time. Aggregates must be clean at capture
-  /// (TakeSnapshot() rebuilds dirty cells first) — snapshot reads never
-  /// rebuild, they are pure.
-  class Snapshot {
-   public:
-    Snapshot() = default;
-
-    std::span<const VehicleId> EmptyVehicles(CellId cell) const;
-    std::span<const KineticEdgeEntry> NonEmptyEntries(CellId cell) const;
-    const CellAggregates& Aggregates(CellId cell) const;
-
-    int num_shards() const { return static_cast<int>(shards_.size()); }
-    /// Epoch of `shard` at capture time.
-    std::uint64_t ShardEpoch(int shard) const { return epochs_[shard]; }
-    /// Sum of all shard epochs at capture time.
-    std::uint64_t global_epoch() const { return global_epoch_; }
-
-   private:
-    friend class VehicleRegistry;
-    const CellState* FindCell(CellId cell) const;
-
-    std::vector<std::shared_ptr<const ShardState>> shards_;
-    std::vector<std::uint64_t> epochs_;
-    std::uint64_t global_epoch_ = 0;
-  };
-
-  /// Captures a consistent view of every shard. Rebuilds dirty aggregates
-  /// first so the snapshot is pure-read for concurrent matchers. Cheap:
-  /// num_shards shared_ptr copies (no cell data is copied unless a later
-  /// write lands on a shard the snapshot still references).
-  Snapshot TakeSnapshot();
-
- private:
-  /// Write-path access to a cell's shard: clones the shard state if any
-  /// snapshot still shares it (COW) and bumps the shard epoch.
-  ShardState& MutableShard(int shard);
+  /// Write access to a cell's state (created on first use); bumps epoch_.
   CellState& StateFor(CellId cell);
   const CellState* FindState(CellId cell) const;
-  void RebuildAggregates(CellId cell, const CellState& state) const;
+  static CellAggregates ComputeAggregates(const GridIndex& grid, CellId cell,
+                                          const CellState& state);
 
   const GridIndex* grid_;
-  std::vector<Shard> shards_;
-  // Reverse maps for O(entries) removal (writer-side bookkeeping only;
-  // snapshots never need them).
+  // Sparse: only cells that ever held a vehicle get state.
+  std::unordered_map<CellId, CellState> cells_;
+  std::uint64_t epoch_ = 0;
+  // Reverse maps for O(entries) removal.
   std::unordered_map<VehicleId, CellId> empty_vehicle_cell_;
   std::unordered_map<VehicleId, std::vector<CellId>> vehicle_edge_cells_;
 };
-
-/// Engine-facing alias: matchers reading from a frozen fleet view take a
-/// `const RegistrySnapshot*` (see MatchContext::snapshot).
-using RegistrySnapshot = VehicleRegistry::Snapshot;
 
 }  // namespace ptar
 

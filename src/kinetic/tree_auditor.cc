@@ -105,7 +105,7 @@ AuditReport KineticTreeAuditor::AuditTree(const KineticTree& tree) const {
 
 AuditReport KineticTreeAuditor::AuditFleet(
     const std::vector<KineticTree>& fleet,
-    const VehicleRegistry* registry) const {
+    VehicleRegistry* registry) const {
   AuditReport report;
   for (const KineticTree& tree : fleet) {
     report.Accumulate(AuditTree(tree));

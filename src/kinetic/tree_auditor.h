@@ -62,9 +62,10 @@ class KineticTreeAuditor {
   AuditReport AuditTree(const KineticTree& tree) const;
 
   /// Audits every tree of the fleet plus (when `registry` is non-null) the
-  /// registry's per-cell aggregate consistency.
+  /// registry's per-cell aggregate consistency, repairing cells whose
+  /// stored aggregates diverge.
   AuditReport AuditFleet(const std::vector<KineticTree>& fleet,
-                         const VehicleRegistry* registry) const;
+                         VehicleRegistry* registry) const;
 
   /// Rebuilds a corrupted tree in place through the trusted distance
   /// function (exact legs, invalid branches dropped, active recomputed).

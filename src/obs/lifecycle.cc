@@ -55,7 +55,7 @@ std::string LifecycleEventToJsonLine(const LifecycleEvent& event,
   line += ',';
   AppendKV(&line, "wave", event.wave);
   line += ',';
-  AppendKV(&line, "epoch", event.snapshot_epoch);
+  AppendKV(&line, "epoch", event.epoch);
   line += ',';
   AppendKV(&line, "level", event.level);
   line += ',';

@@ -1,6 +1,6 @@
 // Per-request lifecycle recorder: a sampled, structured JSONL log of each
 // request's causal timeline through the dispatcher — admission, wave,
-// registry snapshot epoch, ladder level, matcher, budget accounting,
+// registry epoch, ladder level, matcher, budget accounting,
 // conflict losses and re-match rounds, and the final disposition.
 //
 // Design rules (DESIGN.md "Lifecycle events & windowed telemetry"):
@@ -42,9 +42,9 @@ struct LifecycleEvent {
   /// 1-based wave the request was admitted in; 0 = classic serial engine
   /// (no waves).
   std::uint64_t wave = 0;
-  /// Registry global epoch of the snapshot the committing match ran
-  /// against (0 when the request never matched, i.e. shed).
-  std::uint64_t snapshot_epoch = 0;
+  /// Registry write count (VehicleRegistry::epoch) when the committing
+  /// match ran (0 when the request never matched, i.e. shed).
+  std::uint64_t epoch = 0;
   std::string level;    ///< Ladder level at admission ("full", "ssa", ...).
   std::string matcher;  ///< Matcher that produced the committing result.
   std::uint64_t budget_limit = 0;  ///< Work units granted (0 = unlimited).

@@ -103,13 +103,6 @@ const LatencyHistogram* MetricsRegistry::FindHistogram(
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
-void MetricsRegistry::MergeCounterSet(std::string_view prefix,
-                                      const CounterSet& set) {
-  for (const auto& [name, value] : set.counters()) {
-    counters_[std::string(prefix) + "/" + name] += value;
-  }
-}
-
 void MetricsRegistry::MergeBatchStats(std::string_view prefix,
                                       const BatchStats& stats) {
   const std::string base(prefix);

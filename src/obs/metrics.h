@@ -1,6 +1,6 @@
 // Metrics registry: one mergeable home for every cost measure a run
-// produces — named counters (CounterSet-compatible), oracle batching stats
-// (BatchStats), and fixed log-bucket latency histograms.
+// produces — named counters, oracle batching stats (BatchStats), and fixed
+// log-bucket latency histograms.
 //
 // Naming convention (relied on by tests and tooling): metric names are
 // slash-separated paths, "<subsystem>/<name>" or
@@ -10,8 +10,8 @@
 // for identical seeds regardless of thread count. obs_metrics_test
 // enforces the split.
 //
-// The registry itself is single-threaded, like CounterSet: each owner
-// (engine, matcher slot, bench row) fills its own and merges after joining.
+// The registry itself is single-threaded: each owner (engine, matcher slot,
+// bench row) fills its own and merges after joining.
 
 #ifndef PTAR_OBS_METRICS_H_
 #define PTAR_OBS_METRICS_H_
@@ -97,11 +97,6 @@ class MetricsRegistry {
   LatencyHistogram& Histogram(const std::string& name);
   /// Null if the histogram was never touched.
   const LatencyHistogram* FindHistogram(const std::string& name) const;
-
-  /// Folds a CounterSet in under `prefix` ("prefix/<counter name>"). This
-  /// is the sanctioned hand-off from the per-matcher CounterSet bags into
-  /// the unified registry.
-  void MergeCounterSet(std::string_view prefix, const CounterSet& set);
 
   /// Folds the oracle's batching stats in under `prefix` (one counter per
   /// BatchStats field).

@@ -40,7 +40,7 @@ MatchResult GridScanMatcher::Match(const Request& request, MatchContext& ctx) {
     }
     ++stats.scanned_cells;
     internal::ChargeBudget(ctx, 1);
-    const std::span<const VehicleId> list = ctx.snapshot->EmptyVehicles(cell);
+    const std::span<const VehicleId> list = ctx.registry->EmptyVehicles(cell);
     if (list.empty()) continue;
     obs::TraceSpan cell_span("grid_scan_cell");
     cell_span.AddArg("cell", cell);

@@ -94,8 +94,8 @@ struct MatchResult {
 };
 
 /// Everything a matcher needs about the world. Matchers only read it: the
-/// engine refreshes every stale kinetic tree before it takes the snapshot,
-/// so the fleet a matcher sees is fresh, and a matcher never repairs it.
+/// engine refreshes every stale kinetic tree before a match round, so the
+/// fleet a matcher sees is fresh, and a matcher never repairs it.
 struct MatchContext {
   const GridIndex* grid = nullptr;
   const std::vector<KineticTree>* fleet = nullptr;  ///< By VehicleId.
@@ -106,11 +106,10 @@ struct MatchContext {
   /// result `complete = false` when it stops early. The budget is owned by
   /// the caller and is not shared across concurrently-running matchers.
   WorkBudget* budget = nullptr;
-  /// Frozen registry view (VehicleRegistry::TakeSnapshot), the only
-  /// registry state a matcher reads. Concurrent matcher workers share one
-  /// consistent fleet view while the engine keeps the live registry for
-  /// commits.
-  const RegistrySnapshot* snapshot = nullptr;
+  /// The grid's vehicle lists and cell aggregates. Read in place by
+  /// concurrent workers: the engine rebuilds dirty aggregates before a
+  /// match round and writes only after the round has joined.
+  const VehicleRegistry* registry = nullptr;
   /// Optional GeoPrune prefilter (src/prune), installed by the engine when
   /// EngineOptions::prune is kEllipse. When set, every edge-level lemma
   /// that the grid bound did not prune runs again on this second,

@@ -259,7 +259,7 @@ std::size_t AppendBoardableEmpties(CellId cell, const RequestEnv& env,
                                    std::span<const char> emitted,
                                    std::vector<VehicleId>* out) {
   std::size_t capacity_skipped = 0;
-  for (const VehicleId v : ctx.snapshot->EmptyVehicles(cell)) {
+  for (const VehicleId v : ctx.registry->EmptyVehicles(cell)) {
     if (!emitted.empty() && emitted[v]) continue;
     // Capacity constraint (Definition 2): skip vehicles the group cannot
     // board at all.
@@ -298,7 +298,7 @@ void CollectEmptyCandidates(CellId cell, const RequestEnv& env,
                             MatchContext& ctx, const SkylineSet& skyline,
                             std::vector<char>& emitted, MatchStats& stats,
                             std::vector<VehicleId>* out) {
-  const std::span<const VehicleId> list = ctx.snapshot->EmptyVehicles(cell);
+  const std::span<const VehicleId> list = ctx.registry->EmptyVehicles(cell);
   if (list.empty()) return;
   const VertexId s = env.request->start;
   // Lemma 2: prune the whole empty-vehicle list of the cell.
@@ -332,7 +332,7 @@ void CollectStartCandidates(CellId cell, const RequestEnv& env,
                             MatchContext& ctx, const SkylineSet& skyline,
                             std::vector<char>& emitted, MatchStats& stats,
                             std::vector<VehicleId>* out) {
-  const CellAggregates& agg = ctx.snapshot->Aggregates(cell);
+  const CellAggregates& agg = ctx.registry->Aggregates(cell);
   if (!agg.any) return;
   const VertexId s = env.request->start;
   const int riders = env.request->riders;
@@ -354,7 +354,7 @@ void CollectStartCandidates(CellId cell, const RequestEnv& env,
     ++stats.lemma_hits[4];
     return;
   }
-  for (const KineticEdgeEntry& entry : ctx.snapshot->NonEmptyEntries(cell)) {
+  for (const KineticEdgeEntry& entry : ctx.registry->NonEmptyEntries(cell)) {
     if (emitted[entry.vehicle]) continue;
     // Lemmas 5 and 3. On GeoPrune's bound the feasibility clause is
     // containment of s in the detour ellipse with foci o_x, o_y.
@@ -373,7 +373,7 @@ void CollectDestCandidates(CellId cell, const RequestEnv& env,
                            MatchContext& ctx, const SkylineSet& skyline,
                            std::vector<char>& emitted, MatchStats& stats,
                            std::vector<VehicleId>* out) {
-  const CellAggregates& agg = ctx.snapshot->Aggregates(cell);
+  const CellAggregates& agg = ctx.registry->Aggregates(cell);
   if (!agg.any) return;
   const VertexId d = env.request->destination;
   const int riders = env.request->riders;
@@ -396,7 +396,7 @@ void CollectDestCandidates(CellId cell, const RequestEnv& env,
     ++stats.lemma_hits[10];
     return;
   }
-  for (const KineticEdgeEntry& entry : ctx.snapshot->NonEmptyEntries(cell)) {
+  for (const KineticEdgeEntry& entry : ctx.registry->NonEmptyEntries(cell)) {
     if (emitted[entry.vehicle]) continue;
     // Lemmas 7 and 9.
     if (env.pruning.edge_level &&

@@ -56,8 +56,8 @@ void VerifyEmptyVehicle(const KineticTree& tree, const RequestEnv& env,
 
 /// Verifies one non-empty vehicle: kinetic-tree insertion with the given
 /// hooks, one option per surviving candidate (Algorithm 4, lines 3-4). The
-/// tree must be fresh (the engine refreshes stale trees before it takes
-/// the snapshot); a stale one stops at EnumerateInsertions' CHECK.
+/// tree must be fresh (the engine refreshes stale trees before a match
+/// round); a stale one stops at EnumerateInsertions' CHECK.
 void VerifyNonEmptyVehicle(const KineticTree& tree, const RequestEnv& env,
                            MatchContext& ctx, const InsertionHooks& hooks,
                            SkylineSet& skyline, MatchStats& stats);

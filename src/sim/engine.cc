@@ -383,6 +383,9 @@ void Engine::CommitChoice(const Request& request, const Option& option) {
   PTAR_CHECK(v < fleet_.size());
   KineticTree& tree = fleet_[v];
   const bool was_empty = tree.IsEmpty();
+  // Every leg the commit enumerates has s or d as an endpoint, so it reads
+  // the two rows the matcher priced the option from.
+  maintenance_oracle_.BeginRequest(request.start, request.destination);
   const Distance direct =
       maintenance_oracle_.Dist(request.start, request.destination);
   PTAR_CHECK_OK(

@@ -4,14 +4,16 @@
 // vehicle movement at a constant speed (paper Section VII: vehicles follow
 // their schedule when occupied and random-walk on road segments otherwise),
 // feeds the request stream in waves to one or more matcher slots evaluated
-// on an *identical* world snapshot (slot 0 commits; shadow slots are only
+// on an *identical* world state (slot 0 commits; shadow slots are only
 // measured), and commits one option per request chosen by a configurable
 // rider policy.
 //
 // Index maintenance (vehicle movement updates, kinetic-tree refreshes,
 // re-registrations, commits) runs through a dedicated maintenance oracle so
 // per-matcher compdists measure matching work only, like the paper's
-// Section VII metrics.
+// Section VII metrics. Each commit anchors that oracle's two rows at the
+// committed request's pickup and dropoff, so its legs read the values the
+// option was priced from, and clears that oracle's memo.
 
 #ifndef PTAR_SIM_ENGINE_H_
 #define PTAR_SIM_ENGINE_H_
@@ -76,11 +78,12 @@ struct EngineOptions {
   /// vehicle during shrinking does not reshuffle every other start.
   std::vector<VertexId> start_vertices;
   /// Matcher workers (DESIGN.md §7, §12). A wave of requests is matched
-  /// against one frozen registry snapshot, one (request, matcher slot)
-  /// pair per unit of work spread over this many workers, then committed
-  /// serially in request-id order. Committed assignments, RunStats, and the
-  /// lifecycle log are identical at every thread count for a fixed
-  /// wave_size (the `--serial_check` contract); only execution overlaps.
+  /// against the registry as the round found it, one (request, matcher
+  /// slot) pair per unit of work spread over this many workers, then
+  /// committed serially in request-id order. Committed assignments,
+  /// RunStats, and the lifecycle log are identical at every thread count
+  /// for a fixed wave_size (the `--serial_check` contract); only execution
+  /// overlaps.
   int engine_threads = 1;
   /// Requests admitted per wave. 0 = auto: 1 with one worker (the paper's
   /// one-request-at-a-time online setting), else 2 * engine_threads.
@@ -89,10 +92,10 @@ struct EngineOptions {
   /// replays with the parallel run's resolved value).
   int wave_size = 0;
   /// Bounded re-match: a request whose chosen vehicle was taken by an
-  /// earlier (lower-id) concurrent request re-matches against a fresh
-  /// snapshot at most this many times; survivors then match serially
-  /// against live state. Every round commits at least one request, so the
-  /// pipeline never livelocks regardless of this bound.
+  /// earlier (lower-id) concurrent request re-matches against the
+  /// committed world at most this many times; survivors then match
+  /// serially against live state. Every round commits at least one
+  /// request, so the pipeline never livelocks regardless of this bound.
   int max_rematch_rounds = 3;
   /// Exact shortest-path engine behind every oracle. kCH builds one
   /// contraction hierarchy at engine construction (counted in
@@ -195,7 +198,7 @@ struct RunStats {
   /// Conflict events: a request's chosen vehicle was already committed to
   /// a lower-id request of the same wave round.
   std::uint64_t conflicts = 0;
-  /// Re-matches against a fresh snapshot (rounds 1..max_rematch_rounds).
+  /// Re-matches after a conflict (rounds 1..max_rematch_rounds).
   std::uint64_t rematches = 0;
   /// Requests that exhausted the re-match bound and fell back to a serial
   /// match against live state.
@@ -324,7 +327,7 @@ class Engine {
 
   /// Runs `request` as a one-request wave (the paper's online setting):
   /// advances to its submit time, repairs stale state, evaluates every
-  /// borrowed matcher as one slot on the identical snapshot, and commits
+  /// borrowed matcher as one slot on the identical world, and commits
   /// the option chosen (by policy) from slot 0's result set.
   RequestOutcome ProcessRequest(const Request& request,
                                 std::span<Matcher* const> matchers);
@@ -332,19 +335,19 @@ class Engine {
   /// The engine's request loop (DESIGN.md §12). The stream is processed in
   /// waves of ResolvedWaveSize() requests: admission (overload shed +
   /// level capture, in request-id order) → advance world to the wave's
-  /// latest submit time → refresh stale trees → freeze a registry snapshot
+  /// latest submit time → refresh stale trees → rebuild dirty aggregates
   /// → match every (request, slot) pair on engine_threads workers → commit
   /// serially in request-id order. Slot 0 is `make_matcher`'s matcher and
   /// commits; each `shadow_matchers` factory adds a slot that is measured
   /// on round 0 at the full ladder level only (precision / recall against
   /// slot 0, Table III). Every factory is called engine_threads times,
   /// serially, before any matching. When two requests picked the same
-  /// vehicle, the lower id commits and the loser re-matches slot 0 against
-  /// a fresh snapshot (at most max_rematch_rounds times, then a serial
-  /// tail against live state).
+  /// vehicle, the lower id commits and the loser re-matches slot 0 in the
+  /// next round (at most max_rematch_rounds times, then a serial tail
+  /// against live state).
   ///
   /// Determinism: committed assignments depend on wave_size but not on
-  /// engine_threads — workers read only the frozen snapshot, arbitration is
+  /// engine_threads — nothing writes while workers match, arbitration is
   /// id-ordered, and rng/ladder draws happen serially in id order — except
   /// when a wall-clock deadline (overload.deadline_ms > 0) is configured,
   /// which is nondeterministic by design. `commit_log`, when non-null,
@@ -375,8 +378,8 @@ class Engine {
     WorkBudget budget;
   };
   /// Everything one matcher worker owns. Nothing here is shared between
-  /// workers, so the parallel phase reads only the snapshot and writes only
-  /// pre-assigned per-request entries.
+  /// workers, so the parallel phase reads only the world the round found
+  /// and writes only pre-assigned per-request entries.
   struct WorkerCtx {
     std::vector<SlotCtx> slots;
     SsaMatcher ssa{0.16};       ///< Slot 0's kSsa fallback (paper default).

@@ -3,24 +3,32 @@
 // The paper answers one request at a time (Section VII's online setting),
 // which is the one-request case of a batched formulation: the stream is cut
 // into waves, every (request, matcher slot) pair of a wave is matched
-// concurrently against one frozen registry snapshot, and the results are
-// committed serially in request-id order with conflict-aware arbitration.
-// ProcessRequest is a one-request wave through the same code.
+// concurrently against the registry and fleet as the round found them, and
+// the results are committed serially in request-id order with
+// conflict-aware arbitration. ProcessRequest is a one-request wave through
+// the same code.
 //
-//   admission -> advance -> refresh -> snapshot -> parallel match
+//   admission -> advance -> refresh -> rebuild aggregates -> parallel match
 //            -> id-ordered commit -> (losers re-match, bounded) -> next wave
 //
+// Phase rule: nothing writes the registry or the fleet while a round
+// matches. Workers read both in place, without a lock; every write (commit,
+// advance, refresh) runs on the calling thread between rounds. A commit
+// reads its legs from the committed request's two distance rows on the
+// maintenance oracle (DESIGN.md §7).
+//
 // Slot 0 commits. Shadow slots (Table III's extra matchers) run on round 0
-// at the full ladder level only, against the same snapshot, and are scored
-// against slot 0's round-0 result in the commit pass.
+// at the full ladder level only, on the same world, and are scored against
+// slot 0's round-0 result in the commit pass.
 //
 // Determinism contract: for a fixed wave_size, committed assignments,
 // RunStats, and the lifecycle log are identical at every engine_threads
-// value. Matcher workers read only the immutable snapshot and their own
-// per-(worker, slot) oracle/budget/matcher, the arbiter is id-ordered, and
-// all rng and overload-ladder draws happen serially in id order on the
-// calling thread. The only documented exception is a configured wall-clock
-// deadline (overload.deadline_ms), which is nondeterministic by design.
+// value. Matcher workers read only the world as the round found it and
+// their own per-(worker, slot) oracle/budget/matcher, the arbiter is
+// id-ordered, and all rng and overload-ladder draws happen serially in id
+// order on the calling thread. The only documented exception is a
+// configured wall-clock deadline (overload.deadline_ms), which is
+// nondeterministic by design.
 // `--serial_check` re-runs the workload at engine_threads=1 and compares
 // CommitRecords to enforce this.
 
@@ -76,11 +84,11 @@ struct InFlight {
   bool deadline_hit = false;  ///< Worker budget's latched wall deadline.
   // --- Lifecycle attribution (deterministic; recorded at commit). ---
   std::uint64_t wave = 0;            ///< 1-based wave within the call.
-  std::uint64_t snapshot_epoch = 0;  ///< Epoch of the committing match.
+  std::uint64_t epoch = 0;           ///< Registry epoch at that match.
   std::uint64_t budget_limit = 0;
   std::uint64_t budget_spent = 0;
   std::uint64_t conflicts = 0;       ///< Times a lower id took the vehicle.
-  std::uint64_t rematch_rounds = 0;  ///< Snapshot re-matches run.
+  std::uint64_t rematch_rounds = 0;  ///< Re-match rounds run.
   bool serial_tail = false;          ///< Exhausted the re-match bound.
 };
 
@@ -189,7 +197,7 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
   obs::LatencyHistogram* wave_advance_us;
   obs::LatencyHistogram* wave_match_us;
   obs::LatencyHistogram* wave_commit_us;
-  obs::LatencyHistogram* snapshot_us;
+  obs::LatencyHistogram* aggregates_us;
   obs::LatencyHistogram* request_latency_us;
   {
     std::lock_guard<std::mutex> setup_guard(quiesce_mu_);
@@ -211,7 +219,7 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
     wave_advance_us = &metrics_.Histogram("pipeline/wave_advance_us");
     wave_match_us = &metrics_.Histogram("pipeline/wave_match_us");
     wave_commit_us = &metrics_.Histogram("pipeline/wave_commit_us");
-    snapshot_us = &metrics_.Histogram("pipeline/snapshot_us");
+    aggregates_us = &metrics_.Histogram("pipeline/aggregates_us");
     request_latency_us = &metrics_.Histogram("pipeline/request_latency_us");
   }
 
@@ -233,11 +241,10 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
     for (std::future<void>& f : pending) f.get();
   };
 
-  // Matches slot `s` of `inf` on worker `wctx`'s private state against the
-  // frozen snapshot. Called concurrently, one invocation per unit; the
-  // units of one request write disjoint entries of `inf`.
-  const auto match_unit = [&](InFlight& inf, std::size_t s, WorkerCtx& wctx,
-                              const RegistrySnapshot& snapshot) {
+  // Matches slot `s` of `inf` on worker `wctx`'s private state. Called
+  // concurrently, one invocation per unit, after the aggregates' rebuild;
+  // the units of one request write disjoint entries of `inf`.
+  const auto match_unit = [&](InFlight& inf, std::size_t s, WorkerCtx& wctx) {
     // Request and wave ids ride on the span so a Perfetto track can be
     // correlated with the lifecycle log's records.
     obs::TraceSpan span("pipeline_match");
@@ -250,7 +257,7 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
     ctx.fleet = &fleet_;
     ctx.oracle = slot.oracle.get();
     ctx.price_model = PriceModel{};
-    ctx.snapshot = &snapshot;
+    ctx.registry = &registry_;
     ctx.prune = prune_filter_.get();
     // Shadow slots only run at the full level.
     const DegradeLevel level =
@@ -271,7 +278,7 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
     inf.out.evaluated[s] = 1;
     if (s > 0) return;
     inf.elapsed_micros = timer.ElapsedMicros();
-    inf.snapshot_epoch = snapshot.global_epoch();
+    inf.epoch = registry_.epoch();
     if (overload_.enabled()) {
       // Latched per request: the slot reuses its budget object for its
       // next unit, so the committing values must be captured here.
@@ -374,7 +381,7 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
       event.request = inf.request->id;
       event.submit_time = inf.request->submit_time;
       event.wave = inf.wave;
-      event.snapshot_epoch = inf.snapshot_epoch;
+      event.epoch = inf.epoch;
       event.level = DegradeLevelName(level);
       event.matcher = level == DegradeLevel::kFull
                           ? stats.matchers[0].name
@@ -485,11 +492,10 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
     std::vector<InFlight> pending = std::move(admitted);
     std::unordered_set<VehicleId> touched;
     for (int round = 0; !pending.empty(); ++round) {
-      RegistrySnapshot snapshot;
       {
         Timer timer;
-        snapshot = registry_.TakeSnapshot();
-        snapshot_us->Add(timer.ElapsedMicros());
+        registry_.RebuildDirtyAggregates();
+        aggregates_us->Add(timer.ElapsedMicros());
       }
       // Units in request-id order, slots in order within a request; with
       // one slot, unit i is request i.
@@ -507,15 +513,11 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
         parallel_match(units.size(), [&](std::size_t w) {
           for (std::size_t u = w; u < units.size(); u += workers) {
             match_unit(pending[units[u].index], units[u].slot,
-                       worker_ctxs_[w], snapshot);
+                       worker_ctxs_[w]);
           }
         });
         wave_match_us->Add(timer.ElapsedMicros());
       }
-      // Commits mutate the registry in place once no snapshot shares its
-      // shards; drop the view before the commit pass so the steady state
-      // never pays a COW clone.
-      snapshot = RegistrySnapshot();
 
       PTAR_TRACE_SPAN("pipeline_commit");
       Timer commit_timer;
@@ -526,8 +528,8 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
         const Option* chosen = ChooseOption(inf.out.results[0].options);
         if (chosen != nullptr && touched.contains(chosen->vehicle)) {
           // Conflict: a lower-id request of this round already took the
-          // vehicle, so this result is stale. Re-match against a fresh
-          // snapshot next round. The first loser of the next round faces
+          // vehicle, so this result is stale. Re-match against the
+          // committed world next round. The first loser of the next round faces
           // an empty touched set, so every round commits >= 1 request.
           ++stats.conflicts;
           ++inf.conflicts;
@@ -546,7 +548,8 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
         for (InFlight& inf : losers) {
           ++stats.serial_rematches;
           inf.serial_tail = true;
-          match_unit(inf, 0, worker_ctxs_[0], registry_.TakeSnapshot());
+          registry_.RebuildDirtyAggregates();
+          match_unit(inf, 0, worker_ctxs_[0]);
           finish(inf, ChooseOption(inf.out.results[0].options), wave_timer);
         }
         break;

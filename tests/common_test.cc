@@ -5,7 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#include "common/counters.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -154,33 +153,6 @@ TEST(RngTest, ForkProducesIndependentStream) {
   b.Fork();
   EXPECT_EQ(a.UniformInt(0, 1 << 30), b.UniformInt(0, 1 << 30));
   (void)child;
-}
-
-TEST(CounterSetTest, AddAndGet) {
-  CounterSet c;
-  EXPECT_EQ(c.Get("x"), 0u);
-  c.Add("x");
-  c.Add("x", 4);
-  EXPECT_EQ(c.Get("x"), 5u);
-}
-
-TEST(CounterSetTest, MergeSums) {
-  CounterSet a;
-  CounterSet b;
-  a.Add("x", 2);
-  b.Add("x", 3);
-  b.Add("y", 1);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.Get("x"), 5u);
-  EXPECT_EQ(a.Get("y"), 1u);
-}
-
-TEST(CounterSetTest, ResetClears) {
-  CounterSet c;
-  c.Add("x");
-  c.Reset();
-  EXPECT_EQ(c.Get("x"), 0u);
-  EXPECT_TRUE(c.counters().empty());
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {

@@ -1,12 +1,14 @@
 // Fast, deterministic coverage of the differential harness itself:
 // skyline diff classification, replay round-trips, the shrunk regression
-// corpus, and the end-to-end catch-and-shrink loop on an injected bug.
+// corpus, the end-to-end catch-and-shrink loop on an injected bug, and one
+// seed's pinned per-lemma counts.
 // Registered under the `differential` CTest label.
 
 #include "check/differential.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -185,6 +187,36 @@ TEST(ShrinkerTest, CatchesAndMinimizesInjectedLemmaBug) {
   auto replayed = RunDifferential(reloaded.value(), config, factory);
   ASSERT_TRUE(replayed.ok());
   EXPECT_FALSE(replayed->ok());
+}
+
+// Pins the cell lemmas 4, 6, 8 and 10, which read the registry's
+// aggregates: on the scenario `ptar_check --first_seed=23 --seeds=1` runs,
+// each tested matcher's per-lemma hits and cell counts equal recorded
+// constants, so a change to the aggregates or to the cell lemmas' order or
+// gating moves a pinned count.
+TEST(CellLemmaPinTest, Seed23CountsArePinned) {
+  // Lemma hits 1..11, then pruned_cells, scanned_cells.
+  using Counts = std::array<std::uint64_t, 13>;
+  const std::array<Counts, 3> pins = {{
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},  // BA
+      {0, 105, 1519, 21, 4484, 18, 1766, 0, 258, 0, 1006, 144, 2310},  // SSA
+      {0, 105, 1453, 21, 4484, 18, 1805, 20, 277, 9, 1116, 173, 4620},  // DSA
+  }};
+  auto outcome = RunDifferential(MakeRandomSpec(23), {});
+  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+  EXPECT_TRUE(outcome->ok());
+  ASSERT_EQ(outcome->matchers.size(), pins.size());
+  for (std::size_t m = 0; m < pins.size(); ++m) {
+    SCOPED_TRACE(outcome->matchers[m].name);
+    const MatchStats& t = outcome->matchers[m].totals;
+    Counts got{};
+    for (std::size_t k = 1; k <= LemmaCounters::kNumLemmas; ++k) {
+      got[k - 1] = t.lemma_hits[k];
+    }
+    got[11] = t.pruned_cells;
+    got[12] = t.scanned_cells;
+    EXPECT_EQ(got, pins[m]);
+  }
 }
 
 TEST(ShrinkerTest, CleanScenarioIsNotShrunk) {

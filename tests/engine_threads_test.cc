@@ -4,9 +4,9 @@
 // unserved/shared totals, same per-slot aggregates (compdists above all),
 // same chosen options, and same skyline contents for every slot of every
 // request. A (request, slot) pair is the unit of parallel work; each
-// (worker, slot) pair owns its DistanceOracle and budget, workers read
-// only the frozen snapshot, and results land in pre-assigned entries, so
-// the schedule cannot influence any value.
+// (worker, slot) pair owns its DistanceOracle and budget, nothing writes
+// the registry or fleet while workers match, and results land in
+// pre-assigned entries, so the schedule cannot influence any value.
 
 #include <vector>
 
@@ -164,7 +164,7 @@ TEST(EngineThreadsTest, PerRequestOutcomesBitIdenticalAcrossThreadCounts) {
 TEST(EngineThreadsTest, RunStatsIdenticalAcrossThreadCounts) {
   const World w = MakeWorld();
   const std::vector<Request> requests = MakeRequests(w.graph, 25);
-  // Waves of 6: several requests' shadow slots share one snapshot and
+  // Waves of 6: several requests' shadow slots share one match round and
   // interleave across workers.
   obs::MetricsRegistry serial_metrics;
   const RunStats serial = StatsRun(w, requests, 1, 6, &serial_metrics);

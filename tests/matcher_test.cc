@@ -180,8 +180,8 @@ TEST(MatcherTest, NamesAreStable) {
 
 TEST(MatcherDeathTest, StaleTreeStopsAtEnumerateInsertions) {
   // Matchers read the fleet; they never repair it. The engine refreshes
-  // every stale tree before it takes the snapshot, so a stale tree that
-  // reaches a matcher stops at the tree's own CHECK.
+  // every stale tree before a match round, so a stale tree that reaches a
+  // matcher stops at the tree's own CHECK.
   const RoadNetwork graph = testing::MakeSmallGrid();
   DistanceOracle oracle(&graph);
   const KineticTree::DistFn dist = [&oracle](VertexId a, VertexId b) {

@@ -85,7 +85,7 @@ TEST(LifecycleRecorderTest, LineLayoutCoreFieldsAndServedExtras) {
   event.request = 42;
   event.submit_time = 12.5;
   event.wave = 3;
-  event.snapshot_epoch = 17;
+  event.epoch = 17;
   event.level = "full";
   event.matcher = "SSA";
   event.options = 2;

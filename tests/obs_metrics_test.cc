@@ -1,9 +1,8 @@
 // LatencyHistogram bucket math, merging, and percentiles; MetricsRegistry
-// counter/histogram bookkeeping and the CounterSet/BatchStats fold-ins;
+// counter/histogram bookkeeping and the BatchStats fold-in;
 // the timing-metric naming convention.
 
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -142,30 +141,6 @@ TEST(MetricsRegistryTest, HistogramIsAddressStable) {
   ASSERT_NE(reg.FindHistogram("pipeline/wave_advance_us"), nullptr);
   EXPECT_EQ(reg.FindHistogram("pipeline/wave_advance_us")->count(), 1u);
   EXPECT_EQ(reg.FindHistogram("never_touched"), nullptr);
-}
-
-TEST(MetricsRegistryTest, MergeCounterSetPrefixesNames) {
-  CounterSet set;
-  set.Add("compdists", 7);
-  set.Add("verified", 2);
-  MetricsRegistry reg;
-  reg.MergeCounterSet("matcher/ssa", set);
-  EXPECT_EQ(reg.Counter("matcher/ssa/compdists"), 7u);
-  EXPECT_EQ(reg.Counter("matcher/ssa/verified"), 2u);
-  reg.MergeCounterSet("matcher/ssa", set);
-  EXPECT_EQ(reg.Counter("matcher/ssa/compdists"), 14u);
-}
-
-TEST(MetricsRegistryTest, MergeCounterSetFromMergingThread) {
-  // The sanctioned hand-off: a worker fills its own CounterSet, the
-  // merging thread folds it into the registry after the join. The worker
-  // set's ownership pin must not fire on the (read-only) merge.
-  CounterSet set;
-  std::thread worker([&set] { set.Add("filled_on_worker", 3); });
-  worker.join();
-  MetricsRegistry reg;
-  reg.MergeCounterSet("w", set);
-  EXPECT_EQ(reg.Counter("w/filled_on_worker"), 3u);
 }
 
 TEST(MetricsRegistryTest, MergeBatchStatsOneCounterPerField) {

@@ -1,7 +1,8 @@
 // Trace-pipeline validity: running an instrumented engine with the
 // recorder on must produce Chrome trace-event JSON that (a) parses, (b)
 // carries ph/ts/dur/pid/tid on every event, (c) is well-nested per thread
-// track, and (d) covers the wave phases. Also the determinism contract of
+// track, and (d) covers the wave phases; and that a commit's spans show it
+// reads only the request's distance rows. Also the determinism contract of
 // the metrics registry: a 4-worker run must produce bit-identical
 // non-timing metrics to a one-worker run at the same wave size on the same
 // seed (only "pool/..." and the *_us/*_ms/*_micros entries may differ).
@@ -335,6 +336,69 @@ TEST(TraceRecorderTest, WritesValidWellNestedChromeTrace) {
       stack.push_back(s);
     }
   }
+}
+
+// A commit reads the committed request's two distance rows on the
+// maintenance oracle: with the per-commit audit off, no point-to-point
+// search runs inside a pipeline_commit span, and its row fills number at
+// most two per served request plus two per serial-tail match.
+TEST(TraceRecorderTest, CommitsReadOnlyTheRequestRows) {
+  World w = MakeWorld();
+  const std::vector<Request> requests = MakeRequests(w.graph, 24);
+  EngineOptions eopts;
+  eopts.num_vehicles = 40;
+  eopts.seed = 13;
+  eopts.engine_threads = 2;
+  eopts.wave_size = 4;
+  eopts.audit_after_commit = false;
+  Engine engine(&w.graph, w.grid.get(), eopts);
+
+  obs::TraceRecorder& rec = obs::TraceRecorder::Global();
+  rec.Start();
+  const RunStats stats = engine.RunPipelined(
+      requests, [] { return std::make_unique<SsaMatcher>(1.0); });
+  rec.Stop();
+  const std::string path = TempPath("trace.json");
+  const Status st = rec.WriteJson(path);
+  ASSERT_TRUE(st.ok()) << st;
+  ASSERT_GT(stats.served, 0u);
+
+  const std::string text = ReadFile(path);
+  JsonParser parser(text);
+  const JsonValue doc = parser.Parse();
+  const JsonArray& events = doc.object().at("traceEvents").array();
+  struct Span {
+    double ts, end;
+    int tid;
+  };
+  std::vector<Span> commits;
+  std::map<std::string, std::vector<Span>> searches;  // oracle_p2p / _row
+  for (const JsonValue& ev : events) {
+    const JsonObject& o = ev.object();
+    if (o.at("ph").string() != "X") continue;
+    const std::string& name = o.at("name").string();
+    const Span span{o.at("ts").number(),
+                    o.at("ts").number() + o.at("dur").number(),
+                    static_cast<int>(o.at("tid").number())};
+    if (name == "pipeline_commit") commits.push_back(span);
+    if (name == "oracle_p2p" || name == "oracle_row") {
+      searches[name].push_back(span);
+    }
+  }
+  ASSERT_FALSE(commits.empty());
+  const auto inside_commits = [&](const std::string& name) {
+    std::size_t n = 0;
+    for (const Span& s : searches[name]) {
+      n += std::any_of(commits.begin(), commits.end(), [&](const Span& c) {
+        return c.tid == s.tid && c.ts <= s.ts && s.end <= c.end;
+      });
+    }
+    return n;
+  };
+  EXPECT_EQ(inside_commits("oracle_p2p"), 0u);
+  const std::size_t rows = inside_commits("oracle_row");
+  EXPECT_GT(rows, 0u);
+  EXPECT_LE(rows, 2 * (stats.served + stats.serial_rematches));
 }
 
 TEST(TraceRecorderTest, DeterministicMetricsMatchAcrossThreadCounts) {

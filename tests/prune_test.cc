@@ -95,7 +95,7 @@ TEST(EllipsePrefilterTest, DegenerateGraphDisablesFilterSoundly) {
 // ---------------------------------------------------------------------------
 // Candidate-enumeration parity: the matchers' empty-vehicle base set and
 // the grid-scan ladder must come from the same helper, so the helper must
-// agree exactly with the spelled-out capacity filter on a registry snapshot.
+// agree exactly with the spelled-out capacity filter on the registry.
 
 struct Scenario {
   RoadNetwork graph;
@@ -138,10 +138,9 @@ TEST(CandidateParityTest, HelperMatchesManualCapacityFilterAcross20Seeds) {
     std::vector<Matcher*> matchers = {&ssa};
 
     for (const Request& request : sc.requests) {
-      const RegistrySnapshot snapshot = engine.registry().TakeSnapshot();
       MatchContext ctx;
       ctx.grid = sc.grid.get();
-      ctx.snapshot = &snapshot;
+      ctx.registry = &engine.registry();
       ctx.fleet = &engine.fleet();
       internal::RequestEnv env;
       env.request = &request;
@@ -151,7 +150,7 @@ TEST(CandidateParityTest, HelperMatchesManualCapacityFilterAcross20Seeds) {
       for (const CellId cell : sc.grid->active_cells()) {
         std::vector<VehicleId> manual;
         std::size_t manual_skipped = 0;
-        for (const VehicleId v : ctx.snapshot->EmptyVehicles(cell)) {
+        for (const VehicleId v : ctx.registry->EmptyVehicles(cell)) {
           if (emitted[v]) continue;
           if ((*ctx.fleet)[v].capacity() < request.riders) {
             ++manual_skipped;
@@ -169,7 +168,7 @@ TEST(CandidateParityTest, HelperMatchesManualCapacityFilterAcross20Seeds) {
         std::vector<VehicleId> no_dedup;
         internal::AppendBoardableEmpties(cell, env, ctx, {}, &no_dedup);
         std::vector<VehicleId> manual_all;
-        for (const VehicleId v : ctx.snapshot->EmptyVehicles(cell)) {
+        for (const VehicleId v : ctx.registry->EmptyVehicles(cell)) {
           if ((*ctx.fleet)[v].capacity() >= request.riders) {
             manual_all.push_back(v);
           }

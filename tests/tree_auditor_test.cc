@@ -85,9 +85,9 @@ TEST(TreeAuditorTest, DetectsAndRepairsCorruptedLeg) {
 TEST(TreeAuditorTest, FleetAuditCoversRegistryAggregates) {
   BusyWorld busy;
   const KineticTreeAuditor auditor(busy.TrustedDist());
-  // Commits leave their cells' aggregates dirty (lazily rebuilt before the
-  // next matching use); the aggregate audit only covers clean cells, so
-  // rebuild first — exactly what Engine::AuditFleet does internally.
+  // Commits leave their cells' aggregates dirty (the engine rebuilds them
+  // before the next match round); the aggregate audit only covers clean
+  // cells, so rebuild first — exactly what Engine::AuditFleet does.
   busy.engine->registry().RebuildDirtyAggregates();
   const AuditReport report =
       auditor.AuditFleet(busy.engine->fleet(), &busy.engine->registry());

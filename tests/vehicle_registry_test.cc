@@ -1,4 +1,5 @@
-// Tests for the per-cell vehicle registry and its lazy aggregates.
+// Tests for the per-cell vehicle registry, its aggregates and its write
+// count.
 
 #include "grid/vehicle_registry.h"
 
@@ -82,6 +83,7 @@ TEST_F(VehicleRegistryTest, EdgeRegistrationAndAggregates) {
   entries.emplace_back(c0, Entry(3, 2, 100.0, 50.0, 80.0, 0, 1));
   entries.emplace_back(c0, Entry(3, 4, 60.0, 20.0, 120.0, 0, 2));
   registry_->SetVehicleEdges(3, entries);
+  registry_->RebuildDirtyAggregates();
 
   EXPECT_EQ(registry_->NonEmptyEntries(c0).size(), 2u);
   const CellAggregates& agg = registry_->Aggregates(c0);
@@ -102,6 +104,7 @@ TEST_F(VehicleRegistryTest, SetReplacesOldRegistrations) {
   std::vector<std::pair<CellId, KineticEdgeEntry>> second;
   second.emplace_back(c8, Entry(7, 3, 20.0, 6.0, 9.0, 8, 7));
   registry_->SetVehicleEdges(7, second);
+  registry_->RebuildDirtyAggregates();
 
   EXPECT_TRUE(registry_->NonEmptyEntries(c0).empty());
   EXPECT_EQ(registry_->NonEmptyEntries(c8).size(), 1u);
@@ -128,6 +131,7 @@ TEST_F(VehicleRegistryTest, AggregatesMixMultipleVehicles) {
   std::vector<std::pair<CellId, KineticEdgeEntry>> b;
   b.emplace_back(c0, Entry(2, 5, 10.0, 90.0, 70.0, 1, 0));
   registry_->SetVehicleEdges(2, b);
+  registry_->RebuildDirtyAggregates();
 
   const CellAggregates& agg = registry_->Aggregates(c0);
   EXPECT_EQ(agg.max_capacity, 5);
@@ -138,6 +142,7 @@ TEST_F(VehicleRegistryTest, AggregatesMixMultipleVehicles) {
   EXPECT_DOUBLE_EQ(agg.max_leg_dist, 2 * 70.0);
 
   registry_->ClearVehicleEdges(2);
+  registry_->RebuildDirtyAggregates();
   const CellAggregates& after = registry_->Aggregates(c0);
   EXPECT_EQ(after.max_capacity, 1);
   EXPECT_DOUBLE_EQ(after.min_dist_tr, 40.0);
@@ -151,6 +156,7 @@ TEST_F(VehicleRegistryTest, AdjustDistTrLowersAndClamps) {
   registry_->SetVehicleEdges(4, entries);
 
   registry_->AdjustVehicleDistTr(4, 20.0);
+  registry_->RebuildDirtyAggregates();
   const auto after = registry_->NonEmptyEntries(c0);
   ASSERT_EQ(after.size(), 2u);
   EXPECT_DOUBLE_EQ(after[0].dist_tr, 30.0);
@@ -170,79 +176,54 @@ TEST_F(VehicleRegistryTest, EmptyCellAggregates) {
   EXPECT_EQ(agg.min_dist_tr, kInfDistance);
 }
 
-// --- Sharding & epoch snapshots (request-parallel engine). ---
+// --- Pure reads and the write count (read in place by matchers). ---
 
-TEST_F(VehicleRegistryTest, SnapshotIsIsolatedFromLaterWrites) {
-  const CellId c0 = grid_->CellOfVertex(0);
-  const CellId c8 = grid_->CellOfVertex(8);
-  registry_->AddEmptyVehicle(1, 0);
-
-  const RegistrySnapshot snap = registry_->TakeSnapshot();
-  ASSERT_EQ(snap.EmptyVehicles(c0).size(), 1u);
-
-  // Mutate the live registry every way the engine does; the open snapshot
-  // must keep showing the captured view (COW clones the touched shards).
-  registry_->AddEmptyVehicle(2, 0);
-  registry_->MoveEmptyVehicle(1, 8);
-  std::vector<std::pair<CellId, KineticEdgeEntry>> entries;
-  entries.emplace_back(c0, Entry(3, 2, 100.0, 50.0, 80.0, 0, 1));
-  registry_->SetVehicleEdges(3, entries);
-
-  ASSERT_EQ(snap.EmptyVehicles(c0).size(), 1u);
-  EXPECT_EQ(snap.EmptyVehicles(c0)[0], 1u);
-  EXPECT_TRUE(snap.EmptyVehicles(c8).empty());
-  EXPECT_TRUE(snap.NonEmptyEntries(c0).empty());
-  // The live registry moved on.
-  ASSERT_EQ(registry_->EmptyVehicles(c0).size(), 1u);
-  EXPECT_EQ(registry_->EmptyVehicles(c0)[0], 2u);
-  EXPECT_EQ(registry_->EmptyVehicles(c8).size(), 1u);
-  EXPECT_EQ(registry_->NonEmptyEntries(c0).size(), 1u);
-}
-
-TEST_F(VehicleRegistryTest, SnapshotAggregatesAreFrozenAndClean) {
+TEST_F(VehicleRegistryTest, AggregateReadsNeedTheRebuild) {
   const CellId c0 = grid_->CellOfVertex(0);
   std::vector<std::pair<CellId, KineticEdgeEntry>> entries;
   entries.emplace_back(c0, Entry(3, 4, 60.0, 20.0, 120.0, 0, 2));
   registry_->SetVehicleEdges(3, entries);  // c0 is now dirty.
+  EXPECT_DEBUG_DEATH(registry_->Aggregates(c0), "read before the rebuild");
 
-  // TakeSnapshot rebuilds dirty aggregates first; snapshot reads are pure
-  // (a dirty cell in a snapshot would be a contract violation).
-  const RegistrySnapshot snap = registry_->TakeSnapshot();
-  const CellAggregates before = snap.Aggregates(c0);
+  registry_->RebuildDirtyAggregates();
+  const CellAggregates before = registry_->Aggregates(c0);
   EXPECT_TRUE(before.any);
   EXPECT_EQ(before.max_capacity, 4);
+  // Reads are pure: a second read and a second rebuild change nothing.
+  registry_->RebuildDirtyAggregates();
+  EXPECT_EQ(registry_->Aggregates(c0), before);
 
   registry_->ClearVehicleEdges(3);
+  EXPECT_DEBUG_DEATH(registry_->Aggregates(c0), "read before the rebuild");
+  registry_->RebuildDirtyAggregates();
   EXPECT_FALSE(registry_->Aggregates(c0).any);
-  EXPECT_EQ(snap.Aggregates(c0), before);
-  EXPECT_EQ(snap.NonEmptyEntries(c0).size(), 1u);
 }
 
-TEST_F(VehicleRegistryTest, EpochsBumpOnlyOnTouchedShards) {
+TEST_F(VehicleRegistryTest, EpochCountsCellWrites) {
   const CellId c0 = grid_->CellOfVertex(0);
-  const CellId c8 = grid_->CellOfVertex(8);
-  const std::uint64_t before = registry_->GlobalEpoch();
+  EXPECT_EQ(registry_->epoch(), 0u);
   registry_->AddEmptyVehicle(1, 0);
-  EXPECT_GT(registry_->GlobalEpoch(), before);
+  EXPECT_EQ(registry_->epoch(), 1u);
+  registry_->MoveEmptyVehicle(1, 0);  // same cell: no write
+  EXPECT_EQ(registry_->epoch(), 1u);
+  registry_->MoveEmptyVehicle(1, 8);  // leaves one cell, enters another
+  EXPECT_EQ(registry_->epoch(), 3u);
 
-  const int shard0 = registry_->ShardOfCell(c0);
-  const int shard8 = registry_->ShardOfCell(c8);
-  const std::uint64_t epoch0 = registry_->ShardEpoch(shard0);
-  const RegistrySnapshot snap = registry_->TakeSnapshot();
-  // Capture-time epochs, and capture costs no epoch bump of its own.
-  EXPECT_EQ(snap.global_epoch(), registry_->GlobalEpoch());
-  EXPECT_EQ(snap.ShardEpoch(shard0), epoch0);
-  EXPECT_EQ(registry_->TakeSnapshot().global_epoch(), snap.global_epoch());
+  std::vector<std::pair<CellId, KineticEdgeEntry>> entries;
+  entries.emplace_back(c0, Entry(3, 2, 100.0, 50.0, 80.0, 0, 1));
+  entries.emplace_back(c0, Entry(3, 4, 60.0, 20.0, 120.0, 0, 2));
+  registry_->SetVehicleEdges(3, entries);  // one write per entry
+  EXPECT_EQ(registry_->epoch(), 5u);
+  registry_->AdjustVehicleDistTr(3, 5.0);  // one write per cell
+  EXPECT_EQ(registry_->epoch(), 6u);
 
-  registry_->MoveEmptyVehicle(1, 8);
-  EXPECT_GT(registry_->ShardEpoch(shard0), epoch0);
-  EXPECT_GT(registry_->GlobalEpoch(), snap.global_epoch());
-  // The snapshot's epochs are frozen; untouched shards keep theirs.
-  EXPECT_EQ(snap.ShardEpoch(shard0), epoch0);
-  for (int s = 0; s < registry_->num_shards(); ++s) {
-    if (s == shard0 || s == shard8) continue;
-    EXPECT_EQ(registry_->ShardEpoch(s), snap.ShardEpoch(s)) << "shard " << s;
-  }
+  // Reads, the rebuild and the audit write no cell contents.
+  registry_->RebuildDirtyAggregates();
+  registry_->Aggregates(c0);
+  registry_->EmptyVehicles(c0);
+  registry_->NonEmptyEntries(c0);
+  EXPECT_EQ(registry_->AuditAggregates(nullptr), 2u);
+  EXPECT_EQ(registry_->epoch(), 6u);
 }
 
 TEST_F(VehicleRegistryTest, MemoryBytesReflectsContents) {
