@@ -49,13 +49,6 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  /// Exponential draw with the given rate (events per unit). Requires
-  /// rate > 0.
-  double Exponential(double rate) {
-    PTAR_DCHECK(rate > 0.0);
-    return std::exponential_distribution<double>(rate)(engine_);
-  }
-
   /// Derives an independent child stream; successive calls yield different
   /// streams.
   Rng Fork() { return Rng(engine_()); }

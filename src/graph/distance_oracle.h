@@ -143,7 +143,6 @@ class DistanceOracle {
   /// oracle's determinism contract. Pass nullptr to uninstall.
   using FaultHook = std::function<bool(VertexId, VertexId)>;
   void SetFaultHook(FaultHook hook) { fault_hook_ = std::move(hook); }
-  bool has_fault_hook() const { return static_cast<bool>(fault_hook_); }
 
   /// Number of computations the fault hook failed since ResetStats().
   /// Matchers use a nonzero count to tag their result `complete = false`.

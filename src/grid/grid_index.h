@@ -120,10 +120,6 @@ class GridIndex {
   std::span<const VertexId> CellVertices(CellId cell) const;
   std::span<const VertexId> BorderVertices(CellId cell) const;
 
-  /// min distance from v to any border vertex of its own cell (`v.min`);
-  /// kInfDistance if the cell has no border vertices.
-  Distance VertexMin(VertexId v) const { return v_min_[v]; }
-
   /// Exact distances from v to the border vertices of its own cell, aligned
   /// with BorderVertices(CellOfVertex(v)).
   std::span<const Distance> BorderDistances(VertexId v) const;

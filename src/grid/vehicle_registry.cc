@@ -142,7 +142,7 @@ CellAggregates VehicleRegistry::ComputeAggregates(const GridIndex& grid,
 const CellAggregates& VehicleRegistry::Aggregates(CellId cell) const {
   const CellState* state = FindState(cell);
   if (state == nullptr) return kEmptyAggregates;
-  PTAR_DCHECK(!state->aggregates_dirty)
+  PTAR_CHECK(!state->aggregates_dirty)
       << "aggregates of cell " << cell << " read before the rebuild";
   return state->aggregates;
 }

@@ -9,7 +9,6 @@ void BranchStore::Clear() {
   request_.clear();
   location_.clear();
   leg_.clear();
-  delta_onboard_.clear();
   parent_.clear();
   first_child_.clear();
   next_sibling_.clear();
@@ -17,7 +16,6 @@ void BranchStore::Clear() {
   leaves_.clear();
   root_child_head_ = kNilNode;
   live_nodes_ = 0;
-  root_delta_ = 0;
 }
 
 BranchStore::NodeId BranchStore::FindChild(NodeId parent, const Stop& stop,
@@ -33,8 +31,27 @@ BranchStore::NodeId BranchStore::FindChild(NodeId parent, const Stop& stop,
   return kNilNode;
 }
 
+BranchStore::NodeId BranchStore::AddBranch(const Schedule& schedule) {
+  PTAR_DCHECK(schedule.stops.size() == schedule.legs.size());
+  NodeId cur = kRootNode;
+  std::size_t m = 0;
+  // Walk the shared prefix.
+  for (; m < schedule.stops.size(); ++m) {
+    const NodeId child = FindChild(cur, schedule.stops[m], schedule.legs[m]);
+    if (child == kNilNode) break;
+    cur = child;
+  }
+  // Append the unshared suffix.
+  for (; m < schedule.stops.size(); ++m) {
+    cur = NewNode(cur, schedule.stops[m], schedule.legs[m]);
+  }
+  PTAR_DCHECK(cur != kRootNode) << "empty branches are implicit";
+  leaves_.push_back(cur);
+  return cur;
+}
+
 BranchStore::NodeId BranchStore::NewNode(NodeId parent, const Stop& stop,
-                                         Distance leg, std::int32_t delta) {
+                                         Distance leg) {
   NodeId n;
   if (!free_.empty()) {
     n = free_.back();
@@ -45,7 +62,6 @@ BranchStore::NodeId BranchStore::NewNode(NodeId parent, const Stop& stop,
     request_.push_back(kInvalidRequest);
     location_.push_back(kInvalidVertex);
     leg_.push_back(0.0);
-    delta_onboard_.push_back(0);
     parent_.push_back(kNilNode);
     first_child_.push_back(kNilNode);
     next_sibling_.push_back(kNilNode);
@@ -55,7 +71,6 @@ BranchStore::NodeId BranchStore::NewNode(NodeId parent, const Stop& stop,
   request_[i] = stop.request;
   location_[i] = stop.location;
   leg_[i] = leg;
-  delta_onboard_[i] = delta;
   parent_[i] = parent;
   first_child_[i] = kNilNode;
   // Prepend to the parent's child list (O(1); child order is immaterial —
@@ -189,8 +204,6 @@ void BranchStore::RemoveLeavesNotUnder(NodeId first) {
 
 void BranchStore::AdvanceRoot(NodeId first) {
   PTAR_DCHECK(parent_[Idx(first)] == kRootNode);
-  // Rebase onboard deltas to the new root without sweeping the arrays.
-  root_delta_ = delta_onboard_[Idx(first)];
   // Free every sibling subtree of the served node.
   NodeId c = root_child_head_;
   while (c != kNilNode) {
@@ -232,7 +245,6 @@ std::size_t BranchStore::HeapBytes() const {
          request_.capacity() * sizeof(RequestId) +
          location_.capacity() * sizeof(VertexId) +
          leg_.capacity() * sizeof(Distance) +
-         delta_onboard_.capacity() * sizeof(std::int32_t) +
          parent_.capacity() * sizeof(NodeId) +
          first_child_.capacity() * sizeof(NodeId) +
          next_sibling_.capacity() * sizeof(NodeId) +

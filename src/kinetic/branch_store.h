@@ -3,11 +3,12 @@
 // The paper's kinetic tree [17] is a node-sharing prefix tree: branches that
 // agree on a stop prefix share those nodes. This store is that tree laid out
 // as flat pooled arrays (DESIGN.md §14): every per-stop field — stop
-// identity, leg distance, onboard delta, parent/child/sibling links — lives
-// in its own vector indexed by NodeId, so a tree with B branches of depth k
-// holds the shared prefix nodes exactly once instead of B full
-// `std::vector<Stop>` copies, and the whole branch set costs a handful of
-// heap blocks instead of 2B+1.
+// identity, leg distance, parent/child/sibling links — lives in its own
+// vector indexed by NodeId, so a tree with B branches of depth k holds the
+// shared prefix nodes exactly once instead of B full `std::vector<Stop>`
+// copies, and the whole branch set costs a handful of heap blocks instead
+// of 2B+1. The paper's per-node annotations are not stored here: the tree
+// derives them per branch from its assigned requests (kinetic_tree.h).
 //
 // The root (the vehicle's current location) is implicit: depth-1 nodes form
 // a sibling list headed by `root_child_head_` and carry `kRootNode` as their
@@ -61,15 +62,6 @@ class BranchStore {
   VertexId location(NodeId n) const { return location_[Idx(n)]; }
   Distance leg(NodeId n) const { return leg_[Idx(n)]; }
   void set_leg(NodeId n, Distance d) { leg_[Idx(n)] = d; }
-  /// Sum of signed rider deltas over the root-to-n path (inclusive): the
-  /// paper's o_x.capacity annotation is capacity - onboard - delta. Values
-  /// are stored relative to the root at insertion time and rebased lazily:
-  /// AdvanceRoot only moves `root_delta_`, never sweeps the arrays.
-  std::int32_t delta_onboard(NodeId n) const {
-    return delta_onboard_[Idx(n)] - root_delta_;
-  }
-  NodeId parent(NodeId n) const { return parent_[Idx(n)]; }
-  NodeId first_child(NodeId n) const { return first_child_[Idx(n)]; }
   NodeId next_sibling(NodeId n) const { return next_sibling_[Idx(n)]; }
   Stop StopOf(NodeId n) const {
     return Stop{type(n), request(n), location(n)};
@@ -82,34 +74,10 @@ class BranchStore {
 
   /// Appends `schedule` as a new branch, sharing the longest existing
   /// prefix whose stops and leg values match exactly (bit-equal legs, so a
-  /// materialized branch reproduces its input). `riders(request)` supplies
-  /// the onboard delta of each stop. Returns the new leaf. The schedule
-  /// must be distinct from every existing branch (callers deduplicate).
-  template <typename RidersFn>
-  NodeId AddBranch(const Schedule& schedule, RidersFn&& riders) {
-    PTAR_DCHECK(schedule.stops.size() == schedule.legs.size());
-    NodeId cur = kRootNode;
-    std::int32_t raw_delta = root_delta_;
-    std::size_t m = 0;
-    // Walk the shared prefix.
-    for (; m < schedule.stops.size(); ++m) {
-      const Stop& stop = schedule.stops[m];
-      const NodeId child = FindChild(cur, stop, schedule.legs[m]);
-      if (child == kNilNode) break;
-      raw_delta = delta_onboard_[Idx(child)];
-      cur = child;
-    }
-    // Append the unshared suffix.
-    for (; m < schedule.stops.size(); ++m) {
-      const Stop& stop = schedule.stops[m];
-      const int r = riders(stop.request);
-      raw_delta += (stop.type == StopType::kPickup) ? r : -r;
-      cur = NewNode(cur, stop, schedule.legs[m], raw_delta);
-    }
-    PTAR_DCHECK(cur != kRootNode) << "empty branches are implicit";
-    leaves_.push_back(cur);
-    return cur;
-  }
+  /// materialized branch reproduces its input). Returns the new leaf. The
+  /// schedule must be distinct from every existing branch (every producer
+  /// keeps its branches distinct).
+  NodeId AddBranch(const Schedule& schedule);
 
   // --- Traversal. ---
 
@@ -174,8 +142,7 @@ class BranchStore {
   /// shared prefix come from the same distance computation, so sharing is
   /// the common case and a mismatch just costs an unshared node.
   NodeId FindChild(NodeId parent, const Stop& stop, Distance leg) const;
-  NodeId NewNode(NodeId parent, const Stop& stop, Distance leg,
-                 std::int32_t delta);
+  NodeId NewNode(NodeId parent, const Stop& stop, Distance leg);
   void UnlinkFromParent(NodeId n);
   void FreeNode(NodeId n);
   /// Frees `n` and its whole subtree (iterative; reuses scratch_stack_).
@@ -185,7 +152,6 @@ class BranchStore {
   std::vector<RequestId> request_;
   std::vector<VertexId> location_;
   std::vector<Distance> leg_;
-  std::vector<std::int32_t> delta_onboard_;
   std::vector<NodeId> parent_;
   std::vector<NodeId> first_child_;
   std::vector<NodeId> next_sibling_;
@@ -194,8 +160,6 @@ class BranchStore {
   std::vector<NodeId> scratch_stack_;  ///< FreeSubtree working set.
   NodeId root_child_head_ = kNilNode;
   std::size_t live_nodes_ = 0;
-  /// Onboard-delta origin of the current root (see delta_onboard).
-  std::int32_t root_delta_ = 0;
 };
 
 }  // namespace ptar

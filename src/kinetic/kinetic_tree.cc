@@ -1,7 +1,6 @@
 #include "kinetic/kinetic_tree.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -28,61 +27,6 @@ bool BranchLess(const Schedule& a, const Schedule& b) {
   }
   return a.stops.size() < b.stops.size();
 }
-
-/// FNV-1a over the stop sequence (legs excluded, like Schedule::SameStops).
-std::uint64_t StopsHash(const Schedule& schedule) {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  };
-  for (const Stop& stop : schedule.stops) {
-    mix(static_cast<std::uint64_t>(stop.type));
-    mix(stop.request);
-    mix(stop.location);
-  }
-  return h;
-}
-
-/// Open-addressed first-occurrence filter keyed by stop sequence. Collisions
-/// fall back to an exact SameStops comparison against the kept candidate, so
-/// the verdict never depends on the hash. Allocation-free once warmed up
-/// (lives in thread_local storage; enumeration runs concurrently on a frozen
-/// tree from matcher workers).
-class StopSeqDedup {
- public:
-  void Reset(std::size_t expected) {
-    std::size_t cap = 16;
-    while (cap < expected * 2) cap <<= 1;
-    slots_.assign(cap, kEmptySlot);
-    hashes_.resize(cap);
-    mask_ = cap - 1;
-  }
-
-  /// True iff `schedule` (about to become unique[unique.size()]) has not
-  /// been seen; records it when new.
-  bool FirstOccurrence(const Schedule& schedule,
-                       const std::vector<InsertionCandidate>& unique) {
-    const std::uint64_t hash = StopsHash(schedule);
-    std::size_t i = hash & mask_;
-    while (slots_[i] != kEmptySlot) {
-      if (hashes_[i] == hash &&
-          unique[slots_[i]].schedule.SameStops(schedule)) {
-        return false;
-      }
-      i = (i + 1) & mask_;
-    }
-    slots_[i] = static_cast<std::uint32_t>(unique.size());
-    hashes_[i] = hash;
-    return true;
-  }
-
- private:
-  static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
-  std::vector<std::uint32_t> slots_;
-  std::vector<std::uint64_t> hashes_;
-  std::size_t mask_ = 0;
-};
 
 }  // namespace
 
@@ -150,17 +94,11 @@ const AssignedRequest* KineticTree::FindAssigned(RequestId id) const {
   return nullptr;
 }
 
-int KineticTree::RidersOf(RequestId id) const {
-  const AssignedRequest* a = FindAssigned(id);
-  return a != nullptr ? a->request.riders : 0;
-}
-
 void KineticTree::LoadBranches(const std::vector<Schedule>& schedules) {
   store_.Clear();
   for (const Schedule& schedule : schedules) {
     if (schedule.stops.empty()) continue;  // the idle branch is implicit
-    store_.AddBranch(schedule,
-                     [this](RequestId id) { return RidersOf(id); });
+    store_.AddBranch(schedule);
   }
 }
 
@@ -483,18 +421,7 @@ std::vector<InsertionCandidate> KineticTree::EnumerateInsertions(
       EnumerateIntoBranch(branch, request, direct_dist, dist, hooks, &out);
     }
   }
-  // Deduplicate by stop sequence (identical insertions can arise from
-  // branches sharing prefixes), keeping the first occurrence.
-  thread_local StopSeqDedup seen;
-  seen.Reset(out.size());
-  std::vector<InsertionCandidate> unique;
-  unique.reserve(out.size());
-  for (auto& cand : out) {
-    if (seen.FirstOccurrence(cand.schedule, unique)) {
-      unique.push_back(std::move(cand));
-    }
-  }
-  return unique;
+  return out;
 }
 
 Status KineticTree::Commit(const Request& request, Distance direct_dist,
@@ -637,7 +564,7 @@ StatusOr<KineticTree::StopEvent> KineticTree::ArriveAtNextStop() {
   }
   PTAR_CHECK(unique_match)
       << "two root children carry the served stop: prefix sharing keys on "
-         "(stop, leg), every branch producer dedups by stop sequence, and "
+         "(stop, leg), every branch producer keeps branches distinct, and "
          "MoveTo/Refresh/RebuildBranches write one first leg per first stop";
   store_.RemoveLeavesNotUnder(active_first);
   PTAR_CHECK(store_.num_leaves() > 0)

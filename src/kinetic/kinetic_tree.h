@@ -3,15 +3,16 @@
 //
 // Representation (DESIGN.md §14). The tree is a node-sharing prefix tree
 // held in an arena-backed structure-of-arrays BranchStore: every stop node
-// lives once in flat pooled arrays (stop identity, leg distance, onboard
-// delta, parent/child/sibling links), branches are the root-to-leaf paths,
-// and sibling branches share their common prefix nodes. This replaces the
+// lives once in flat pooled arrays (stop identity, leg distance,
+// parent/child/sibling links), branches are the root-to-leaf paths, and
+// sibling branches share their common prefix nodes. This replaces the
 // earlier flat set of per-branch `std::vector<Stop>` copies: a tree with B
 // branches of depth k costs O(distinct nodes) instead of O(B * k) stop
 // copies across 2B+1 heap blocks. Validity is still checked against the
-// single authoritative IsValidSchedule routine on materialized branches,
-// and the per-node annotations the paper stores (o_x.capacity via the
-// onboard delta, o_x.detour, o_x.dist_tr) are derived from the arrays.
+// single authoritative IsValidSchedule routine on materialized branches.
+// The per-node annotations the paper stores are derived per branch, not
+// stored: o_x.capacity is GapFreeSeats and o_x.detour is GapSlacks over the
+// assigned requests, and o_x.dist_tr is the branch's leg prefix sum.
 //
 // Movement model. The vehicle keeps a distance odometer. Each assigned
 // request stores its pickup deadline as an odometer value
@@ -179,8 +180,10 @@ class KineticTree {
   // --- Matching. ---
 
   /// Enumerates all valid insertions of `request` into every branch,
-  /// subject to the pruning hooks. Requires !stale(). Candidates are
-  /// deduplicated by stop sequence. `direct_dist` is dist(s, d).
+  /// subject to the pruning hooks. Requires !stale(). `direct_dist` is
+  /// dist(s, d). Candidates are distinct stop sequences: removing the
+  /// request's two stops gives back the candidate's branch, their positions
+  /// fix (i, j), and branches are distinct.
   std::vector<InsertionCandidate> EnumerateInsertions(
       const Request& request, Distance direct_dist, const DistFn& dist,
       const InsertionHooks& hooks) const;
@@ -283,10 +286,9 @@ class KineticTree {
  private:
   void RecomputeActive();
   const AssignedRequest* FindAssigned(RequestId id) const;
-  int RidersOf(RequestId id) const;
   /// Loads `store_` from `schedules` in order (prefix-shared). Branches
-  /// must already be deduplicated by stop sequence; empty schedules are
-  /// skipped (the idle branch is implicit).
+  /// must be distinct stop sequences; empty schedules are skipped (the idle
+  /// branch is implicit).
   void LoadBranches(const std::vector<Schedule>& schedules);
 
   /// Enumeration core shared by EnumerateInsertions and Commit; `branch`

@@ -96,7 +96,6 @@ Engine::Engine(const RoadNetwork* graph, const GridIndex* grid,
                         options.vehicle_capacity, options.tree_max_branches);
     runtimes_[i].route.assign(1, start);
     registry_.AddEmptyVehicle(static_cast<VehicleId>(i), start);
-    registered_empty_.push_back(true);
   }
 }
 
@@ -215,6 +214,7 @@ void Engine::ReRegister(VehicleId v) {
 
 void Engine::SyncAfterTreeChange(VehicleId v) {
   KineticTree& tree = fleet_[v];
+  PTAR_CHECK(!tree.IsEmpty()) << "vehicle " << v << " has no stop to sync";
   VehicleRuntime& rt = runtimes_[v];
 
   // Serve every stop co-located with the vehicle.
@@ -222,26 +222,26 @@ void Engine::SyncAfterTreeChange(VehicleId v) {
          tree.NextStopLocation() == tree.location()) {
     auto event = tree.ArriveAtNextStop();
     PTAR_CHECK(event.ok()) << event.status();
-    if (event->type == StopType::kPickup) {
-      if (!rt.onboard.empty()) {
-        shared_requests_.insert(event->request);
-        for (const RequestId other : rt.onboard) {
-          shared_requests_.insert(other);
-        }
-      }
-      rt.onboard.insert(event->request);
-    } else {
-      rt.onboard.erase(event->request);
+    if (event->type == StopType::kDropoff) {
+      shared_onboard_.erase(event->request);
+      continue;
+    }
+    // The new rider shares with everyone already aboard; each request
+    // counts once, when it first shares.
+    bool shares = false;
+    for (const AssignedRequest& a : tree.assigned()) {
+      if (!a.picked_up || a.request.id == event->request) continue;
+      shares = true;
+      if (shared_onboard_.insert(a.request.id).second) ++shared_total_;
+    }
+    if (shares && shared_onboard_.insert(event->request).second) {
+      ++shared_total_;
     }
   }
 
   if (tree.IsEmpty()) {
-    PTAR_CHECK(rt.onboard.empty());
-    if (!registered_empty_[v]) {
-      registry_.ClearVehicleEdges(v);
-      registry_.AddEmptyVehicle(v, tree.location());
-      registered_empty_[v] = true;
-    }
+    registry_.ClearVehicleEdges(v);
+    registry_.AddEmptyVehicle(v, tree.location());
     rt.route.assign(1, tree.location());
     rt.pos = 0;
     rt.edge_progress = 0.0;
@@ -390,10 +390,7 @@ void Engine::CommitChoice(const Request& request, const Option& option) {
       maintenance_oracle_.Dist(request.start, request.destination);
   PTAR_CHECK_OK(
       tree.Commit(request, direct, option.pickup_dist, MaintenanceDistFn()));
-  if (was_empty) {
-    registry_.RemoveEmptyVehicle(v);
-    registered_empty_[v] = false;
-  }
+  if (was_empty) registry_.RemoveEmptyVehicle(v);
   SyncAfterTreeChange(v);
 }
 

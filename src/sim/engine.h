@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "graph/distance_oracle.h"
@@ -183,7 +182,10 @@ struct RunStats {
   std::vector<MatcherAggregate> matchers;
   std::uint64_t served = 0;
   std::uint64_t unserved = 0;
-  std::uint64_t shared = 0;  ///< Served requests that rode with others.
+  /// Requests that first rode with another rider since the previous call
+  /// returned (a request counts once, when it first shares), so summing
+  /// over calls gives one run's count.
+  std::uint64_t shared = 0;
   /// Requests refused outright at overload level 3 (counted in unserved).
   std::uint64_t shed_requests = 0;
   /// Requests whose committing result was budget-truncated
@@ -368,7 +370,6 @@ class Engine {
     std::size_t pos = 0;          ///< Index of the current vertex in route.
     double edge_progress = 0.0;   ///< Meters advanced into the next edge.
     double budget = 0.0;          ///< Unspent movement distance.
-    std::unordered_set<RequestId> onboard;  ///< For sharing-rate tracking.
   };
 
   /// Everything one (worker, matcher slot) pair owns.
@@ -413,7 +414,8 @@ class Engine {
   Distance ArcWeight(VertexId u, VertexId v) const;
   void TickVehicle(VehicleId v, double budget_meters);
   /// Serves co-located stops, fixes the vehicle's registry membership, and
-  /// replans its driving route. Called after any kinetic-tree change.
+  /// replans its driving route. Called after any change to a non-empty
+  /// kinetic tree; registers the vehicle as empty if its tree empties.
   void SyncAfterTreeChange(VehicleId v);
   void ReRegister(VehicleId v);
   void RefreshStaleTrees();
@@ -434,7 +436,6 @@ class Engine {
 
   std::vector<KineticTree> fleet_;
   std::vector<VehicleRuntime> runtimes_;
-  std::vector<char> registered_empty_;  ///< Vehicle is in an empty list.
   VehicleRegistry registry_;
 
   double ch_preprocess_micros_ = 0.0;
@@ -464,7 +465,12 @@ class Engine {
   /// thread may observe.
   std::mutex quiesce_mu_;
 
-  std::unordered_set<RequestId> shared_requests_;
+  /// Riders aboard who have shared a ride, erased at their dropoff; the
+  /// engine's lifetime count of requests that shared, and the part of it
+  /// earlier calls already reported as RunStats::shared.
+  std::unordered_set<RequestId> shared_onboard_;
+  std::uint64_t shared_total_ = 0;
+  std::uint64_t shared_reported_ = 0;
 
   obs::MetricsRegistry metrics_;
   /// Per-window service-quality deltas (EngineOptions::telemetry).

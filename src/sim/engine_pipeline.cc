@@ -560,7 +560,8 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
     }
   }
 
-  stats.shared = shared_requests_.size();
+  stats.shared = shared_total_ - shared_reported_;
+  shared_reported_ = shared_total_;
   std::lock_guard<std::mutex> harvest_guard(quiesce_mu_);
   metrics_.AddCounter("pipeline/waves", stats.waves);
   metrics_.AddCounter("pipeline/conflicts", stats.conflicts);

@@ -170,15 +170,17 @@ TEST(EngineTest, MinPriceVsMinTimeChooseDifferently) {
   EXPECT_LE(sum0, sum1 + 1e-6);
 }
 
-TEST(EngineTest, SharingHappensWithConcentratedDemand) {
-  GridWorld w = MakeWorld();
+EngineOptions ScarceFleet() {
   EngineOptions opts;
   opts.num_vehicles = 5;  // scarce fleet forces sharing
   // Concentrated demand on a scarce fleet is exactly the workload where
   // unbounded enumeration goes factorial (every rider fits every gap of
-  // the hot vehicle); the test is about sharing, so pin the bounded mode.
+  // the hot vehicle); the tests are about sharing, so pin the bounded mode.
   opts.tree_max_branches = 64;
-  Engine engine(w.graph.get(), w.grid.get(), opts);
+  return opts;
+}
+
+std::vector<Request> ConcentratedDemand(const RoadNetwork& g) {
   WorkloadOptions wopts;
   wopts.num_requests = 40;
   wopts.duration_seconds = 300.0;
@@ -187,12 +189,50 @@ TEST(EngineTest, SharingHappensWithConcentratedDemand) {
   wopts.num_hotspots = 1;    // everyone travels the same corridor
   wopts.hotspot_prob = 1.0;
   wopts.seed = 12;
-  auto requests = GenerateWorkload(*w.graph, wopts);
-  ASSERT_TRUE(requests.ok());
-  const RunStats stats =
-      engine.RunPipelined(*requests, FactoryOf<BaselineMatcher>());
+  auto requests = GenerateWorkload(g, wopts);
+  PTAR_CHECK(requests.ok());
+  return std::move(requests).value();
+}
+
+TEST(EngineTest, SharingHappensWithConcentratedDemand) {
+  GridWorld w = MakeWorld();
+  Engine engine(w.graph.get(), w.grid.get(), ScarceFleet());
+  const RunStats stats = engine.RunPipelined(ConcentratedDemand(*w.graph),
+                                             FactoryOf<BaselineMatcher>());
   EXPECT_GT(stats.served, 0u);
   EXPECT_GT(stats.shared, 0u) << "no sharing in a forced-sharing scenario";
+}
+
+TEST(EngineTest, SharedCountsAddUpAcrossCalls) {
+  // RunStats::shared counts the requests that first shared since the last
+  // call returned, like `served` counts per call. Running the stream one
+  // request per call, with the world advanced between calls as ptar_bench
+  // does, must add up to the same stream run as one call.
+  GridWorld w = MakeWorld();
+  const std::vector<Request> requests = ConcentratedDemand(*w.graph);
+  std::vector<CommitRecord> whole_log;
+  Engine whole_engine(w.graph.get(), w.grid.get(), ScarceFleet());
+  const RunStats whole = whole_engine.RunPipelined(
+      requests, FactoryOf<BaselineMatcher>(), &whole_log);
+
+  std::vector<CommitRecord> split_log;
+  RunStats sum;
+  Engine split_engine(w.graph.get(), w.grid.get(), ScarceFleet());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    split_engine.AdvanceTo(requests[i].submit_time);
+    std::vector<CommitRecord> log;
+    const RunStats part = split_engine.RunPipelined(
+        std::span<const Request>(requests).subspan(i, 1),
+        FactoryOf<BaselineMatcher>(), &log);
+    split_log.insert(split_log.end(), log.begin(), log.end());
+    sum.served += part.served;
+    sum.shared += part.shared;
+  }
+
+  EXPECT_EQ(split_log, whole_log);
+  EXPECT_GT(whole.shared, 0u);
+  EXPECT_EQ(sum.served, whole.served);
+  EXPECT_EQ(sum.shared, whole.shared);
 }
 
 TEST(EngineTest, PartialCoverageSsaCanCommit) {

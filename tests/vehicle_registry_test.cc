@@ -183,7 +183,7 @@ TEST_F(VehicleRegistryTest, AggregateReadsNeedTheRebuild) {
   std::vector<std::pair<CellId, KineticEdgeEntry>> entries;
   entries.emplace_back(c0, Entry(3, 4, 60.0, 20.0, 120.0, 0, 2));
   registry_->SetVehicleEdges(3, entries);  // c0 is now dirty.
-  EXPECT_DEBUG_DEATH(registry_->Aggregates(c0), "read before the rebuild");
+  EXPECT_DEATH(registry_->Aggregates(c0), "read before the rebuild");
 
   registry_->RebuildDirtyAggregates();
   const CellAggregates before = registry_->Aggregates(c0);
@@ -194,7 +194,7 @@ TEST_F(VehicleRegistryTest, AggregateReadsNeedTheRebuild) {
   EXPECT_EQ(registry_->Aggregates(c0), before);
 
   registry_->ClearVehicleEdges(3);
-  EXPECT_DEBUG_DEATH(registry_->Aggregates(c0), "read before the rebuild");
+  EXPECT_DEATH(registry_->Aggregates(c0), "read before the rebuild");
   registry_->RebuildDirtyAggregates();
   EXPECT_FALSE(registry_->Aggregates(c0).any);
 }
