@@ -14,9 +14,10 @@
 //
 //   $ ./options_vs_classic
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
-#include "common/stats.h"
 #include "graph/generators.h"
 #include "rideshare/baseline_matcher.h"
 #include "sim/engine.h"
@@ -26,9 +27,26 @@ using namespace ptar;
 
 namespace {
 
+double Mean(const std::vector<double>& samples) {
+  double sum = 0.0;
+  for (const double v : samples) sum += v;
+  return samples.empty() ? 0.0 : sum / samples.size();
+}
+
+/// Percentile p in [0, 100], interpolated between the two nearest ranks.
+double Percentile(std::vector<double> samples, double p) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const double rank = p / 100.0 * (samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  const double frac = rank - lo;
+  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+}
+
 struct Outcome {
-  SampleSummary fares;
-  SampleSummary pickup_minutes;
+  std::vector<double> fares;
+  std::vector<double> pickup_minutes;
   double sharing_rate = 0.0;
   std::uint64_t served = 0;
 };
@@ -49,9 +67,9 @@ Outcome Replay(const RoadNetwork& graph, const GridIndex& grid,
     const auto result = engine.ProcessRequest(request, matchers);
     if (!result.served) continue;
     ++served;
-    outcome.fares.Add(result.chosen.price);
-    outcome.pickup_minutes.Add(result.chosen.pickup_dist /
-                               kDefaultSpeedMetersPerSec / 60.0);
+    outcome.fares.push_back(result.chosen.price);
+    outcome.pickup_minutes.push_back(result.chosen.pickup_dist /
+                                     kDefaultSpeedMetersPerSec / 60.0);
   }
   // Let every trip finish.
   engine.AdvanceTo(engine.now() + 7200.0);
@@ -63,8 +81,8 @@ void Print(const char* label, const Outcome& o) {
   std::printf("%-8s served %3llu | fare mean %8.1f p50 %8.1f p95 %8.1f | "
               "pickup mean %5.2f min p95 %5.2f min\n",
               label, static_cast<unsigned long long>(o.served),
-              o.fares.Mean(), o.fares.Percentile(50), o.fares.Percentile(95),
-              o.pickup_minutes.Mean(), o.pickup_minutes.Percentile(95));
+              Mean(o.fares), Percentile(o.fares, 50), Percentile(o.fares, 95),
+              Mean(o.pickup_minutes), Percentile(o.pickup_minutes, 95));
 }
 
 }  // namespace
@@ -104,9 +122,9 @@ int main() {
 
   // What riders gain from the skyline is the *time* side of the trade-off.
   const double fare_premium =
-      fast_outcome.fares.Mean() - classic_outcome.fares.Mean();
-  const double p95_saving = classic_outcome.pickup_minutes.Percentile(95) -
-                            fast_outcome.pickup_minutes.Percentile(95);
+      Mean(fast_outcome.fares) - Mean(classic_outcome.fares);
+  const double p95_saving = Percentile(classic_outcome.pickup_minutes, 95) -
+                            Percentile(fast_outcome.pickup_minutes, 95);
   std::printf(
       "\nClassic dispatch already gives the cheapest ride (its objective "
       "is the price model's\nnumerator), but it forces everyone onto it: "
@@ -114,7 +132,7 @@ int main() {
       "time-sensitive riders cut the p95 pickup by %.1f minutes for a "
       "%.0f%%\nfare premium — one system-optimal assignment cannot serve "
       "both preferences.\n",
-      classic_outcome.pickup_minutes.Percentile(95), p95_saving,
-      100.0 * fare_premium / classic_outcome.fares.Mean());
+      Percentile(classic_outcome.pickup_minutes, 95), p95_saving,
+      100.0 * fare_premium / Mean(classic_outcome.fares));
   return 0;
 }

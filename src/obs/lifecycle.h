@@ -39,8 +39,8 @@ inline constexpr int kLifecycleSchemaVersion = 1;
 struct LifecycleEvent {
   std::uint64_t request = 0;
   double submit_time = 0.0;  ///< Sim seconds (admission tick).
-  /// 1-based wave the request was admitted in; 0 = classic serial engine
-  /// (no waves).
+  /// 1-based wave the request was admitted in (shed or not); every
+  /// request has one, a ProcessRequest call's is 1.
   std::uint64_t wave = 0;
   /// Registry write count (VehicleRegistry::epoch) when the committing
   /// match ran (0 when the request never matched, i.e. shed).
@@ -52,8 +52,8 @@ struct LifecycleEvent {
   bool budget_exhausted = false;
   bool partial = false;  ///< Committing skyline was budget-truncated.
   std::uint64_t options = 0;       ///< Non-dominated options returned.
-  std::uint64_t conflicts = 0;     ///< Times a lower-id request won the
-                                   ///< chosen vehicle (pipeline only).
+  std::uint64_t conflicts = 0;     ///< Times a lower-id request of the
+                                   ///< same round won the chosen vehicle.
   std::uint64_t rematch_rounds = 0;
   bool serial_tail = false;  ///< Exhausted the re-match bound.
   std::string disposition;   ///< "served" | "unserved" | "shed".

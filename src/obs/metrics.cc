@@ -46,8 +46,8 @@ double LatencyHistogram::Percentile(double p) const {
   if (!(p > 0.0)) p = 0.0;
   if (p > 100.0) p = 100.0;
   if (count_ == 1) return min_;  // the single sample, exactly
-  // Nearest-rank position among count_ samples (0-based), matching
-  // SampleSummary's interpolated rank rounded to a sample.
+  // Nearest-rank position among count_ samples (0-based): the
+  // interpolated rank p/100 * (count_ - 1) rounded to a sample.
   const auto rank = static_cast<std::uint64_t>(
       p / 100.0 * static_cast<double>(count_ - 1) + 0.5);
   std::uint64_t seen = 0;
@@ -86,6 +86,11 @@ void LatencyHistogram::MergeFrom(const LatencyHistogram& other) {
 void MetricsRegistry::AddCounter(const std::string& name,
                                  std::uint64_t delta) {
   counters_[name] += delta;
+}
+
+void MetricsRegistry::SetCounter(const std::string& name,
+                                 std::uint64_t value) {
+  counters_[name] = value;
 }
 
 std::uint64_t MetricsRegistry::Counter(const std::string& name) const {

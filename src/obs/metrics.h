@@ -26,7 +26,7 @@
 namespace ptar::obs {
 
 /// Fixed-size logarithmic-bucket histogram for latency-style positive
-/// samples. Unlike SampleSummary it is O(1) memory regardless of sample
+/// samples. Unlike a sample list it is O(1) memory regardless of sample
 /// count and merges across threads by adding bucket arrays; the price is
 /// that Percentile() is exact only to one bucket width (buckets grow by
 /// kGrowth ~ 19% per step, so quantiles are within ~±9% of the true value).
@@ -92,6 +92,8 @@ class MetricsRegistry {
   /// Monotonic named counter (creates at 0 on first touch).
   void AddCounter(const std::string& name, std::uint64_t delta = 1);
   std::uint64_t Counter(const std::string& name) const;
+  /// Sets a counter to a cumulative source's current total (creates it).
+  void SetCounter(const std::string& name, std::uint64_t value);
 
   /// Named histogram, created empty on first access.
   LatencyHistogram& Histogram(const std::string& name);

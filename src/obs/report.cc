@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "obs/json_writer.h"
 #include "obs/version.h"
@@ -141,47 +142,26 @@ std::string RunReportToJson(const RunReport& report) {
 
 namespace {
 
-/// Finds `"key":` and parses the unsigned integer after it. Keys are
-/// matched with their opening quote, so metric names that merely end in
-/// `key` (e.g. "degrade/shed_requests") cannot shadow a report field.
-bool ScanUInt(const std::string& json, const std::string& key,
-              std::uint64_t* out, std::size_t from = 0) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = json.find(needle, from);
-  if (pos == std::string::npos) return false;
-  char* end = nullptr;
-  const char* start = json.c_str() + pos + needle.size();
-  const unsigned long long value = std::strtoull(start, &end, 10);
-  if (end == start) return false;
-  *out = value;
-  return true;
-}
-
-/// Like ScanUInt but only accepts a match strictly inside [from, until) —
-/// the bound that makes per-window scanning safe even though window fields
-/// reuse top-level key names ("requests", "served", ...).
-bool ScanUIntWithin(const std::string& json, const std::string& key,
-                    std::size_t from, std::size_t until,
-                    std::uint64_t* out) {
+/// Finds `"key":` inside [from, until) — `until` defaults to the end of
+/// the document — and parses the number after it. Keys are matched with
+/// their opening quote, so a key that merely ends in `key` ("unserved" for
+/// "served", "serial_rematches" for "rematches") cannot shadow it. The
+/// bound makes per-window scanning safe even though window fields reuse
+/// top-level key names ("requests", "served", ...).
+template <typename T>
+bool Scan(const std::string& json, const std::string& key, T* out,
+          std::size_t from = 0, std::size_t until = std::string::npos) {
   const std::string needle = "\"" + key + "\":";
   const std::size_t pos = json.find(needle, from);
   if (pos == std::string::npos || pos >= until) return false;
   char* end = nullptr;
   const char* start = json.c_str() + pos + needle.size();
-  const unsigned long long value = std::strtoull(start, &end, 10);
-  if (end == start) return false;
-  *out = value;
-  return true;
-}
-
-bool ScanDoubleWithin(const std::string& json, const std::string& key,
-                      std::size_t from, std::size_t until, double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = json.find(needle, from);
-  if (pos == std::string::npos || pos >= until) return false;
-  char* end = nullptr;
-  const char* start = json.c_str() + pos + needle.size();
-  const double value = std::strtod(start, &end);
+  T value;
+  if constexpr (std::is_same_v<T, double>) {
+    value = std::strtod(start, &end);
+  } else {
+    value = std::strtoull(start, &end, 10);
+  }
   if (end == start) return false;
   *out = value;
   return true;
@@ -192,7 +172,7 @@ bool ScanDoubleWithin(const std::string& json, const std::string& key,
 StatusOr<ReportSummary> ParseReportSummary(const std::string& json) {
   ReportSummary summary;
   std::uint64_t version = 0;
-  if (!ScanUInt(json, "schema_version", &version)) {
+  if (!Scan(json, "schema_version", &version)) {
     return Status::InvalidArgument("report has no parsable schema_version");
   }
   summary.schema_version = static_cast<int>(version);
@@ -203,15 +183,14 @@ StatusOr<ReportSummary> ParseReportSummary(const std::string& json) {
         std::to_string(summary.schema_version) + " (reader supports 1.." +
         std::to_string(kReportSchemaVersion) + ")");
   }
-  ScanUInt(json, "served", &summary.served);
-  ScanUInt(json, "unserved", &summary.unserved);
-  ScanUInt(json, "shared", &summary.shared);
+  Scan(json, "served", &summary.served);
+  Scan(json, "unserved", &summary.unserved);
+  Scan(json, "shared", &summary.shared);
   // v2 robustness block; absent (v1) means all-zero.
   const std::size_t robustness = json.find("\"robustness\":");
   if (robustness != std::string::npos) {
-    ScanUInt(json, "shed_requests", &summary.shed_requests, robustness);
-    ScanUInt(json, "partial_skylines", &summary.partial_skylines,
-             robustness);
+    Scan(json, "shed_requests", &summary.shed_requests, robustness);
+    Scan(json, "partial_skylines", &summary.partial_skylines, robustness);
     const std::size_t ladder = json.find("\"ladder_requests\":", robustness);
     if (ladder != std::string::npos) {
       const char* cursor = json.c_str() + ladder;
@@ -227,10 +206,10 @@ StatusOr<ReportSummary> ParseReportSummary(const std::string& json) {
   // v3 pipeline block; absent (v1/v2) means all-zero.
   const std::size_t pipeline = json.find("\"pipeline\":");
   if (pipeline != std::string::npos) {
-    ScanUInt(json, "waves", &summary.waves, pipeline);
-    ScanUInt(json, "conflicts", &summary.conflicts, pipeline);
-    ScanUInt(json, "rematches", &summary.rematches, pipeline);
-    ScanUInt(json, "serial_rematches", &summary.serial_rematches, pipeline);
+    Scan(json, "waves", &summary.waves, pipeline);
+    Scan(json, "conflicts", &summary.conflicts, pipeline);
+    Scan(json, "rematches", &summary.rematches, pipeline);
+    Scan(json, "serial_rematches", &summary.serial_rematches, pipeline);
   }
   return summary;
 }
@@ -238,7 +217,7 @@ StatusOr<ReportSummary> ParseReportSummary(const std::string& json) {
 StatusOr<TimeseriesSummary> ParseTimeseries(const std::string& json) {
   TimeseriesSummary ts;
   std::uint64_t version = 0;
-  if (!ScanUInt(json, "schema_version", &version)) {
+  if (!Scan(json, "schema_version", &version)) {
     return Status::InvalidArgument("report has no parsable schema_version");
   }
   if (version < 1 || version > static_cast<std::uint64_t>(
@@ -254,8 +233,7 @@ StatusOr<TimeseriesSummary> ParseTimeseries(const std::string& json) {
   // the document, for hand-rolled fixtures) bounds every scan below.
   std::size_t block_end = json.find("\"matchers\":", block);
   if (block_end == std::string::npos) block_end = json.size();
-  if (!ScanDoubleWithin(json, "window_seconds", block, block_end,
-                        &ts.window_seconds)) {
+  if (!Scan(json, "window_seconds", &ts.window_seconds, block, block_end)) {
     return Status::InvalidArgument(
         "timeseries block has no parsable window_seconds");
   }
@@ -267,14 +245,14 @@ StatusOr<TimeseriesSummary> ParseTimeseries(const std::string& json) {
     const std::size_t end =
         (next == std::string::npos || next > block_end) ? block_end : next;
     WindowSummary w;
-    ScanDoubleWithin(json, "start", pos, end, &w.start);
-    ScanUIntWithin(json, "requests", pos, end, &w.requests);
-    ScanUIntWithin(json, "served", pos, end, &w.served);
-    ScanUIntWithin(json, "unserved", pos, end, &w.unserved);
-    ScanUIntWithin(json, "shed", pos, end, &w.shed);
-    ScanUIntWithin(json, "conflicts", pos, end, &w.conflicts);
-    ScanUIntWithin(json, "rematches", pos, end, &w.rematches);
-    ScanUIntWithin(json, "partial", pos, end, &w.partial);
+    Scan(json, "start", &w.start, pos, end);
+    Scan(json, "requests", &w.requests, pos, end);
+    Scan(json, "served", &w.served, pos, end);
+    Scan(json, "unserved", &w.unserved, pos, end);
+    Scan(json, "shed", &w.shed, pos, end);
+    Scan(json, "conflicts", &w.conflicts, pos, end);
+    Scan(json, "rematches", &w.rematches, pos, end);
+    Scan(json, "partial", &w.partial, pos, end);
     const std::size_t ladder = json.find("\"ladder\":", pos);
     if (ladder != std::string::npos && ladder < end) {
       const char* cursor = std::strchr(json.c_str() + ladder, '[');
@@ -285,9 +263,9 @@ StatusOr<TimeseriesSummary> ParseTimeseries(const std::string& json) {
         cursor = (num_end != nullptr && *num_end == ',') ? num_end : nullptr;
       }
     }
-    ScanUIntWithin(json, "commit_count", pos, end, &w.commit_count);
-    ScanDoubleWithin(json, "commit_p50_us", pos, end, &w.commit_p50_us);
-    ScanDoubleWithin(json, "commit_p99_us", pos, end, &w.commit_p99_us);
+    Scan(json, "commit_count", &w.commit_count, pos, end);
+    Scan(json, "commit_p50_us", &w.commit_p50_us, pos, end);
+    Scan(json, "commit_p99_us", &w.commit_p99_us, pos, end);
     ts.windows.push_back(w);
     pos = next;
   }

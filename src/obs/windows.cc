@@ -1,7 +1,7 @@
 #include "obs/windows.h"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace ptar::obs {
 
@@ -13,6 +13,18 @@ std::int64_t WindowIndex(double sim_time, double width) {
 
 }  // namespace
 
+void WindowExport::MergeFrom(const WindowExport& other) {
+  requests += other.requests;
+  served += other.served;
+  unserved += other.unserved;
+  shed += other.shed;
+  conflicts += other.conflicts;
+  rematches += other.rematches;
+  partial += other.partial;
+  for (std::size_t i = 0; i < ladder.size(); ++i) ladder[i] += other.ladder[i];
+  commit_latency_us.MergeFrom(other.commit_latency_us);
+}
+
 WindowedTelemetry::WindowedTelemetry(const TelemetryOptions& options)
     : options_(options), width_(options.window_seconds) {}
 
@@ -22,22 +34,26 @@ bool WindowedTelemetry::WouldOpenNew(double sim_time) const {
          WindowIndex(sim_time, width_) > windows_.back().index;
 }
 
-MetricsRegistry* WindowedTelemetry::At(double sim_time) {
+WindowExport* WindowedTelemetry::At(double sim_time) {
   if (!enabled()) return nullptr;
   const std::int64_t idx = WindowIndex(sim_time, width_);
   if (windows_.empty() || idx > windows_.back().index) {
-    windows_.push_back(Window{idx, MetricsRegistry{}});
+    windows_.push_back(Window{idx, WindowExport{}});
     CoalesceIfNeeded();
-    return &windows_.back().metrics;
+    return &windows_.back().counts;
   }
-  if (idx == windows_.back().index) return &windows_.back().metrics;
+  if (idx == windows_.back().index) return &windows_.back().counts;
   // Out-of-order time (rare; sim time is weakly monotone). Reuse the
   // window if it still exists, else charge the oldest surviving one.
   for (auto it = windows_.rbegin(); it != windows_.rend(); ++it) {
-    if (it->index == idx) return &it->metrics;
+    if (it->index == idx) return &it->counts;
     if (it->index < idx) break;
   }
-  return &windows_.front().metrics;
+  return &windows_.front().counts;
+}
+
+const WindowExport* WindowedTelemetry::Newest() const {
+  return windows_.empty() ? nullptr : &windows_.back().counts;
 }
 
 void WindowedTelemetry::CoalesceIfNeeded() {
@@ -50,9 +66,9 @@ void WindowedTelemetry::CoalesceIfNeeded() {
       const std::int64_t idx =
           w.index >= 0 ? w.index / 2 : (w.index - 1) / 2;
       if (!merged.empty() && merged.back().index == idx) {
-        merged.back().metrics.MergeFrom(w.metrics);
+        merged.back().counts.MergeFrom(w.counts);
       } else {
-        merged.push_back(Window{idx, std::move(w.metrics)});
+        merged.push_back(Window{idx, std::move(w.counts)});
       }
     }
     windows_ = std::move(merged);
@@ -65,40 +81,10 @@ TimeseriesExport WindowedTelemetry::Export() const {
   out.window_seconds = width_;
   out.windows.reserve(windows_.size());
   for (const Window& w : windows_) {
-    WindowExport e;
-    e.start = static_cast<double>(w.index) * width_;
-    e.requests = w.metrics.Counter(kWindowRequests);
-    e.served = w.metrics.Counter(kWindowServed);
-    e.unserved = w.metrics.Counter(kWindowUnserved);
-    e.shed = w.metrics.Counter(kWindowShed);
-    e.conflicts = w.metrics.Counter(kWindowConflicts);
-    e.rematches = w.metrics.Counter(kWindowRematches);
-    e.partial = w.metrics.Counter(kWindowPartial);
-    for (std::size_t i = 0; i < kWindowLadderLevels.size(); ++i) {
-      e.ladder[i] = w.metrics.Counter(kWindowLadderLevels[i]);
-    }
-    if (const LatencyHistogram* h =
-            w.metrics.FindHistogram(kWindowCommitLatencyUs)) {
-      e.commit_latency_us = *h;
-    }
-    out.windows.push_back(std::move(e));
+    out.windows.push_back(w.counts);
+    out.windows.back().start = static_cast<double>(w.index) * width_;
   }
   return out;
-}
-
-WindowSlo WindowedTelemetry::CurrentSlo() const {
-  WindowSlo slo;
-  if (windows_.empty()) return slo;
-  const MetricsRegistry& m = windows_.back().metrics;
-  slo.requests = m.Counter(kWindowRequests);
-  if (slo.requests > 0) {
-    slo.shed_rate = static_cast<double>(m.Counter(kWindowShed)) /
-                    static_cast<double>(slo.requests);
-  }
-  if (const LatencyHistogram* h = m.FindHistogram(kWindowCommitLatencyUs)) {
-    slo.p99_commit_us = h->Percentile(99.0);
-  }
-  return slo;
 }
 
 }  // namespace ptar::obs

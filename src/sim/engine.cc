@@ -114,13 +114,18 @@ void Engine::ObserveOverload(double match_elapsed_micros,
   }
 }
 
-obs::MetricsRegistry* Engine::TelemetryWindowFor(double t) {
+obs::WindowExport* Engine::TelemetryWindowFor(double t) {
   if (!telemetry_.enabled()) return nullptr;
-  if (options_.overload.slo_p99_us > 0.0 && telemetry_.WouldOpenNew(t) &&
-      telemetry_.num_windows() > 0) {
-    const obs::WindowSlo slo = telemetry_.CurrentSlo();
+  const obs::WindowExport* closed = telemetry_.Newest();
+  if (options_.overload.slo_p99_us > 0.0 && closed != nullptr &&
+      telemetry_.WouldOpenNew(t)) {
+    const double shed_rate =
+        closed->requests == 0 ? 0.0
+                              : static_cast<double>(closed->shed) /
+                                    static_cast<double>(closed->requests);
     const OverloadController::Observation obs = overload_.ObserveWindow(
-        slo.p99_commit_us, slo.shed_rate, slo.requests);
+        closed->commit_latency_us.Percentile(99.0), shed_rate,
+        closed->requests);
     if (obs.bad) metrics_.AddCounter("degrade/slo_violations", 1);
     if (obs.level_delta > 0) metrics_.AddCounter("degrade/slo_level_up", 1);
     if (obs.level_delta < 0) {

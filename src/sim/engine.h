@@ -287,10 +287,11 @@ class Engine {
   /// name), oracle batching counters (committing slot:
   /// "pipeline/match/batch/...", shadow slots: "matcher/<name>/batch/..."),
   /// GeoPrune and kinetic-tree cap counters ("prune/...", "tree/..."), and
-  /// thread-pool queue stats ("pool/..."). Accumulates across calls. Names
-  /// follow the determinism convention of obs::MetricsRegistry: only
-  /// "pool/" entries and the timing-suffixed ones may differ between
-  /// equal-seed runs.
+  /// thread-pool queue stats ("pool/..."). Accumulates across calls.
+  /// Counts RunStats already holds (waves, conflicts, ladder occupancy,
+  /// sheds, partial skylines) are not repeated here. Names follow the
+  /// determinism convention of obs::MetricsRegistry: only "pool/" entries
+  /// and the timing-suffixed ones may differ between equal-seed runs.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   /// Windowed service-quality telemetry, accumulated across runs (engine
@@ -313,18 +314,27 @@ class Engine {
 
   struct RequestOutcome {
     std::vector<MatchResult> results;  ///< One per matcher, same order.
-    /// Parallel to `results`: whether that slot actually ran. At degraded
-    /// overload levels only slot 0 runs (via an engine-owned fallback
-    /// matcher); shed requests run nothing. Unevaluated slots hold
-    /// default-constructed results and must be excluded from statistics.
-    std::vector<char> evaluated;
     bool served = false;
     Option chosen;
     /// Degradation level this request was processed at.
     DegradeLevel degrade_level = DegradeLevel::kFull;
-    bool shed = false;  ///< True iff the request was refused unmatched.
+
+    /// True iff the request was refused unmatched.
+    bool shed() const { return degrade_level == DegradeLevel::kShed; }
+    /// Whether slot `s` actually ran. At degraded overload levels only
+    /// slot 0 runs (via an engine-owned fallback matcher); shed requests
+    /// run nothing. Unevaluated slots hold default-constructed results and
+    /// must be excluded from statistics.
+    bool Evaluated(std::size_t s) const {
+      return s == 0 ? !shed() : degrade_level == DegradeLevel::kFull;
+    }
     /// OK normally; kResourceExhausted when shed.
-    Status status = Status::OK();
+    Status status() const {
+      return shed() ? Status::ResourceExhausted(
+                          "overload ladder at shed level: request refused "
+                          "unmatched")
+                    : Status::OK();
+    }
   };
 
   /// Runs `request` as a one-request wave (the paper's online setting):
@@ -404,10 +414,10 @@ class Engine {
                        bool worker_deadline_hit = false);
   /// Telemetry window for sim time `t` (null when telemetry is disabled).
   /// When `t` opens a new window and an SLO is configured, the just-closed
-  /// window's p99 commit latency and shed rate first feed
+  /// (newest) window's p99 commit latency and shed rate first feed
   /// OverloadController::ObserveWindow — always from a serial section, so
   /// ladder moves stay ordered even though the signal is wall-clock.
-  obs::MetricsRegistry* TelemetryWindowFor(double t);
+  obs::WindowExport* TelemetryWindowFor(double t);
   /// Post-commit single-vehicle audit (EngineOptions::audit_after_commit);
   /// repairs on findings and bumps the audit/* counters.
   void AuditAfterCommit(VehicleId v);
@@ -480,12 +490,6 @@ class Engine {
   /// max(0, deadline - elapsed) per request; only fed when a wall-clock
   /// deadline is configured (timing-suffixed, determinism-exempt).
   obs::LatencyHistogram* deadline_slack_us_;
-  /// Pool and kinetic-tree cap counter values already folded into metrics_
-  /// (the sources are cumulative; each call adds only the delta).
-  std::uint64_t pool_tasks_harvested_ = 0;
-  std::uint64_t pool_wait_harvested_ = 0;
-  std::uint64_t tree_dropped_harvested_ = 0;
-  std::uint64_t tree_cap_hits_harvested_ = 0;
 };
 
 }  // namespace ptar

@@ -78,18 +78,11 @@ struct InFlight {
   /// ladder level captured at admission; it fixes this request's budget and
   /// matcher even if the ladder moves before its worker runs.
   Engine::RequestOutcome out;
-  // --- Slot 0's worker-side measurements of its latest match. ---
-  double elapsed_micros = 0.0;
-  bool budget_exhausted = false;
+  /// The request's one record, filled where each fact arises: admission,
+  /// slot 0's latest match (its worker-side measurements included),
+  /// arbitration, and the disposition.
+  obs::LifecycleEvent event;
   bool deadline_hit = false;  ///< Worker budget's latched wall deadline.
-  // --- Lifecycle attribution (deterministic; recorded at commit). ---
-  std::uint64_t wave = 0;            ///< 1-based wave within the call.
-  std::uint64_t epoch = 0;           ///< Registry epoch at that match.
-  std::uint64_t budget_limit = 0;
-  std::uint64_t budget_spent = 0;
-  std::uint64_t conflicts = 0;       ///< Times a lower id took the vehicle.
-  std::uint64_t rematch_rounds = 0;  ///< Re-match rounds run.
-  bool serial_tail = false;          ///< Exhausted the re-match bound.
 };
 
 /// One unit of parallel work: slot `slot` of pending request `index`.
@@ -185,7 +178,6 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
   // Histogram slots are resolved under the quiesce lock: metrics_ is part
   // of the quiesced state a concurrent AuditFleet may touch.
   struct SlotHists {
-    obs::LatencyHistogram* latency_us;
     obs::LatencyHistogram* compdists;
     obs::LatencyHistogram* options;
   };
@@ -211,8 +203,7 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
                           (repeats > 0 ? "#" + std::to_string(repeats + 1)
                                        : ""));
       const std::string& base = slot_keys.back();
-      slot_hists.push_back({&metrics_.Histogram(base + "/latency_us"),
-                            &metrics_.Histogram(base + "/compdists"),
+      slot_hists.push_back({&metrics_.Histogram(base + "/compdists"),
                             &metrics_.Histogram(base + "/options")});
     }
     queue_depth = &metrics_.Histogram("pipeline/queue_depth");
@@ -249,7 +240,7 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
     // correlated with the lifecycle log's records.
     obs::TraceSpan span("pipeline_match");
     span.AddArg("request", static_cast<std::int64_t>(inf.request->id));
-    span.AddArg("wave", static_cast<std::int64_t>(inf.wave));
+    span.AddArg("wave", static_cast<std::int64_t>(inf.event.wave));
     span.AddArg("slot", static_cast<std::int64_t>(s));
     SlotCtx& slot = wctx.slots[s];
     MatchContext ctx;
@@ -275,17 +266,24 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
     if (level == DegradeLevel::kGridScan) matcher = &wctx.grid_scan;
     Timer timer;
     inf.out.results[s] = matcher->Match(*inf.request, ctx);
-    inf.out.evaluated[s] = 1;
     if (s > 0) return;
-    inf.elapsed_micros = timer.ElapsedMicros();
-    inf.epoch = registry_.epoch();
+    obs::LifecycleEvent& event = inf.event;
+    event.match_us = timer.ElapsedMicros();
+    event.epoch = registry_.epoch();
+    event.matcher = matcher->name();
+    event.partial = !inf.out.results[0].complete;
+    event.options = inf.out.results[0].options.size();
     if (overload_.enabled()) {
       // Latched per request: the slot reuses its budget object for its
       // next unit, so the committing values must be captured here.
-      inf.budget_exhausted = slot.budget.Exhausted();
+      event.budget_exhausted = slot.budget.Exhausted();
       inf.deadline_hit = slot.budget.deadline_hit();
-      inf.budget_limit = slot.budget.max_units();
-      inf.budget_spent = slot.budget.used();
+      event.budget_limit = slot.budget.max_units();
+      event.budget_spent = slot.budget.used();
+    }
+    if (overload_.DeadlineMicros() > 0.0) {
+      event.deadline_slack_us =
+          std::max(0.0, overload_.DeadlineMicros() - event.match_us);
     }
   };
 
@@ -295,13 +293,10 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
   // aggregates. Those describe the configured matchers, so degraded
   // requests (fallback matchers) are excluded.
   const auto account_first_match = [&](const InFlight& inf) {
-    ObserveOverload(inf.elapsed_micros, inf.budget_exhausted,
+    ObserveOverload(inf.event.match_us, inf.event.budget_exhausted,
                     inf.deadline_hit);
     const MatchResult& first = inf.out.results[0];
-    if (!first.complete) {
-      ++stats.partial_skylines;
-      metrics_.AddCounter("degrade/partial_skylines", 1);
-    }
+    if (inf.event.partial) ++stats.partial_skylines;
     if (prune_filter_ != nullptr) {
       const MatchStats& st = first.stats;
       metrics_.AddCounter("prune/ellipse_checked", st.ellipse_checked);
@@ -324,7 +319,6 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
       agg.options_sum += result.options.size();
       agg.precision_sum += Coverage(result.options, first.options);
       agg.recall_sum += Coverage(first.options, result.options);
-      slot_hists[s].latency_us->Add(result.stats.elapsed_micros);
       slot_hists[s].compdists->Add(
           static_cast<double>(result.stats.compdists));
       slot_hists[s].options->Add(static_cast<double>(result.options.size()));
@@ -334,16 +328,23 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
   std::vector<CommitRecord> records;
   records.reserve(requests.size());
 
-  // Commits `chosen` (null = unserved) as `inf`'s final disposition and
-  // records it. Called only from the serial commit pass and the serial
+  // Writes `inf`'s final disposition — shed (its admission level), served
+  // (`chosen` is committed) or unserved (`chosen` is null) — to the commit
+  // log, RunStats, the telemetry window, the lifecycle log and the outcome.
+  // Called only from the serial admission and commit passes and the serial
   // tail, in request-id order, so record order — and therefore the
-  // lifecycle file — is identical at every engine_threads value. The
-  // commit latency is the admission-to-commit wall time of the wave timer.
-  const auto finish = [&](InFlight& inf, const Option* chosen,
-                          const Timer& wave_timer) {
-    CommitRecord record{.request = inf.request->id};
+  // lifecycle file — is identical at every engine_threads value. The commit
+  // latency is the admission-to-commit wall time of the wave timer; shed
+  // requests take no latency sample.
+  const auto dispose = [&](InFlight& inf, const Option* chosen,
+                           const Timer& wave_timer) {
+    obs::LifecycleEvent& event = inf.event;
+    const DegradeLevel level = inf.out.degrade_level;
+    const bool shed = level == DegradeLevel::kShed;
+    CommitRecord record{.request = inf.request->id, .shed = shed};
     if (chosen == nullptr) {
       ++stats.unserved;
+      if (shed) ++stats.shed_requests;
     } else {
       ++stats.served;
       CommitChoice(*inf.request, *chosen);
@@ -354,61 +355,30 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
                 .price = chosen->price};
       inf.out.served = true;
       inf.out.chosen = *chosen;
+      event.vehicle = chosen->vehicle;
+      event.pickup_dist = chosen->pickup_dist;
+      event.price = chosen->price;
       if (options_.audit_after_commit) AuditAfterCommit(chosen->vehicle);
     }
     records.push_back(record);
-    const double latency_micros = wave_timer.ElapsedMicros();
-    request_latency_us->Add(latency_micros);
-    const DegradeLevel level = inf.out.degrade_level;
-    if (obs::MetricsRegistry* w =
-            TelemetryWindowFor(inf.request->submit_time)) {
-      w->AddCounter(obs::kWindowRequests);
-      w->AddCounter(chosen != nullptr ? obs::kWindowServed
-                                      : obs::kWindowUnserved);
-      if (!inf.out.results[0].complete) w->AddCounter(obs::kWindowPartial);
-      w->AddCounter(obs::kWindowLadderLevels[static_cast<int>(level)]);
-      if (inf.conflicts > 0) {
-        w->AddCounter(obs::kWindowConflicts, inf.conflicts);
+    event.disposition =
+        shed ? "shed" : (chosen != nullptr ? "served" : "unserved");
+    const double latency_micros = shed ? 0.0 : wave_timer.ElapsedMicros();
+    if (!shed) request_latency_us->Add(latency_micros);
+    if (obs::WindowExport* w = TelemetryWindowFor(event.submit_time)) {
+      ++w->requests;
+      ++w->ladder[static_cast<int>(level)];
+      if (shed) {
+        ++w->shed;
+      } else {
+        ++(chosen != nullptr ? w->served : w->unserved);
+        if (event.partial) ++w->partial;
+        w->conflicts += event.conflicts;
+        w->rematches += event.rematch_rounds;
+        w->commit_latency_us.Add(latency_micros);
       }
-      if (inf.rematch_rounds > 0) {
-        w->AddCounter(obs::kWindowRematches, inf.rematch_rounds);
-      }
-      w->Histogram(obs::kWindowCommitLatencyUs).Add(latency_micros);
     }
-    if (lifecycle_ != nullptr && lifecycle_->enabled() &&
-        lifecycle_->Sampled(inf.request->id)) {
-      obs::LifecycleEvent event;
-      event.request = inf.request->id;
-      event.submit_time = inf.request->submit_time;
-      event.wave = inf.wave;
-      event.epoch = inf.epoch;
-      event.level = DegradeLevelName(level);
-      event.matcher = level == DegradeLevel::kFull
-                          ? stats.matchers[0].name
-                          : (level == DegradeLevel::kSsa
-                                 ? worker_ctxs_[0].ssa.name()
-                                 : worker_ctxs_[0].grid_scan.name());
-      event.budget_limit = inf.budget_limit;
-      event.budget_spent = inf.budget_spent;
-      event.budget_exhausted = inf.budget_exhausted;
-      event.partial = !inf.out.results[0].complete;
-      event.options = inf.out.results[0].options.size();
-      event.conflicts = inf.conflicts;
-      event.rematch_rounds = inf.rematch_rounds;
-      event.serial_tail = inf.serial_tail;
-      event.disposition = chosen != nullptr ? "served" : "unserved";
-      if (chosen != nullptr) {
-        event.vehicle = chosen->vehicle;
-        event.pickup_dist = chosen->pickup_dist;
-        event.price = chosen->price;
-      }
-      event.match_us = inf.elapsed_micros;
-      if (overload_.DeadlineMicros() > 0.0) {
-        event.deadline_slack_us = std::max(
-            0.0, overload_.DeadlineMicros() - inf.elapsed_micros);
-      }
-      lifecycle_->Record(event);
-    }
+    if (lifecycle_ != nullptr) lifecycle_->Record(event);
     if (outcomes != nullptr) outcomes->push_back(std::move(inf.out));
   };
 
@@ -432,50 +402,23 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
     for (const Request& request : wave) {
       const DegradeLevel level = overload_.level();
       stats.ladder_requests[static_cast<int>(level)] += 1;
-      if (overload_.enabled()) {
-        metrics_.AddCounter("degrade/level" +
-                                std::to_string(static_cast<int>(level)) +
-                                "_requests",
-                            1);
-      }
       InFlight inf;
       inf.request = &request;
-      inf.wave = stats.waves;
+      inf.event.request = request.id;
+      inf.event.submit_time = request.submit_time;
+      inf.event.wave = stats.waves;
+      inf.event.level = DegradeLevelName(level);
       inf.out.results.resize(num_slots);
-      inf.out.evaluated.assign(num_slots, 0);
       inf.out.degrade_level = level;
       if (level != DegradeLevel::kShed) {
         admitted.push_back(std::move(inf));
         continue;
       }
-      ++stats.shed_requests;
-      ++stats.unserved;
-      metrics_.AddCounter("degrade/shed_requests", 1);
-      records.push_back({.request = request.id, .shed = true});
       // Shedding is (nearly) free, so it counts as a good signal; the
       // ladder can recover mid-admission and later requests of the same
       // wave then match again.
       ObserveOverload(0.0, /*budget_exhausted=*/false);
-      if (obs::MetricsRegistry* w = TelemetryWindowFor(request.submit_time)) {
-        w->AddCounter(obs::kWindowRequests);
-        w->AddCounter(obs::kWindowShed);
-        w->AddCounter(obs::kWindowLadderLevels[static_cast<int>(level)]);
-      }
-      if (lifecycle_ != nullptr && lifecycle_->enabled()) {
-        obs::LifecycleEvent event;
-        event.request = request.id;
-        event.submit_time = request.submit_time;
-        event.wave = stats.waves;
-        event.level = DegradeLevelName(level);
-        event.disposition = "shed";
-        lifecycle_->Record(event);
-      }
-      if (outcomes != nullptr) {
-        inf.out.shed = true;
-        inf.out.status = Status::ResourceExhausted(
-            "overload ladder at shed level: request refused unmatched");
-        outcomes->push_back(std::move(inf.out));
-      }
+      dispose(inf, nullptr, wave_timer);
     }
     queue_depth->Add(static_cast<double>(admitted.size()));
 
@@ -532,12 +475,12 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
           // committed world next round. The first loser of the next round faces
           // an empty touched set, so every round commits >= 1 request.
           ++stats.conflicts;
-          ++inf.conflicts;
+          ++inf.event.conflicts;
           losers.push_back(std::move(inf));
           continue;
         }
         if (chosen != nullptr) touched.insert(chosen->vehicle);
-        finish(inf, chosen, wave_timer);
+        dispose(inf, chosen, wave_timer);
       }
       wave_commit_us->Add(commit_timer.ElapsedMicros());
 
@@ -547,15 +490,15 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
         // live state, which cannot conflict.
         for (InFlight& inf : losers) {
           ++stats.serial_rematches;
-          inf.serial_tail = true;
+          inf.event.serial_tail = true;
           registry_.RebuildDirtyAggregates();
           match_unit(inf, 0, worker_ctxs_[0]);
-          finish(inf, ChooseOption(inf.out.results[0].options), wave_timer);
+          dispose(inf, ChooseOption(inf.out.results[0].options), wave_timer);
         }
         break;
       }
       stats.rematches += losers.size();
-      for (InFlight& inf : losers) ++inf.rematch_rounds;
+      for (InFlight& inf : losers) ++inf.event.rematch_rounds;
       pending = std::move(losers);
     }
   }
@@ -563,11 +506,6 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
   stats.shared = shared_total_ - shared_reported_;
   shared_reported_ = shared_total_;
   std::lock_guard<std::mutex> harvest_guard(quiesce_mu_);
-  metrics_.AddCounter("pipeline/waves", stats.waves);
-  metrics_.AddCounter("pipeline/conflicts", stats.conflicts);
-  metrics_.AddCounter("pipeline/rematches", stats.rematches);
-  metrics_.AddCounter("pipeline/serial_rematches", stats.serial_rematches);
-
   // Oracle batching stats: the committing slot's workers merge into ONE
   // key (the sum over requests is identical at every thread count: each
   // request's match work is deterministic and worker assignment only
@@ -583,29 +521,22 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
       oracle.ResetBatchStats();
     }
   }
+  // The pool's and the trees' counters are lifetime-cumulative, and so
+  // are the engine's metrics: each call sets the sources' current totals.
   if (pool_ != nullptr) {
-    const std::uint64_t tasks = pool_->tasks_run();
-    const std::uint64_t wait = pool_->total_wait_micros();
-    metrics_.AddCounter("pool/tasks_run", tasks - pool_tasks_harvested_);
-    metrics_.AddCounter("pool/queue_wait_micros",
-                        wait - pool_wait_harvested_);
-    pool_tasks_harvested_ = tasks;
-    pool_wait_harvested_ = wait;
+    metrics_.SetCounter("pool/tasks_run", pool_->tasks_run());
+    metrics_.SetCounter("pool/queue_wait_micros", pool_->total_wait_micros());
   }
   if (options_.tree_max_branches != KineticTree::kUnlimitedBranches) {
-    // Attribute capped-enumeration option loss. Per-tree counters are
-    // lifetime-cumulative, so fold only the delta since the last call.
+    // Attribute capped-enumeration option loss.
     std::uint64_t dropped = 0;
     std::uint64_t cap_hits = 0;
     for (const KineticTree& tree : fleet_) {
       dropped += tree.branches_dropped();
       cap_hits += tree.cap_hits();
     }
-    metrics_.AddCounter("tree/branches_dropped",
-                        dropped - tree_dropped_harvested_);
-    metrics_.AddCounter("tree/cap_hits", cap_hits - tree_cap_hits_harvested_);
-    tree_dropped_harvested_ = dropped;
-    tree_cap_hits_harvested_ = cap_hits;
+    metrics_.SetCounter("tree/branches_dropped", dropped);
+    metrics_.SetCounter("tree/cap_hits", cap_hits);
   }
 
   if (commit_log != nullptr) {

@@ -94,8 +94,9 @@ class OverloadController {
   };
 
   /// Feeds one telemetry window's headline signals (p99 commit latency
-  /// and shed rate, from WindowedTelemetry::CurrentSlo) and moves the
-  /// ladder ahead of the per-request streaks. A window whose p99 violates
+  /// and shed rate, which the engine derives from the just-closed
+  /// WindowedTelemetry::Newest() window) and moves the ladder ahead of
+  /// the per-request streaks. A window whose p99 violates
   /// `slo_p99_us` degrades one level immediately — a whole window over
   /// target is stronger evidence than any single bad request — and a
   /// clearly healthy window (p99 under half the target, nothing shed)

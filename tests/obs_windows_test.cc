@@ -19,17 +19,17 @@ TEST(WindowedTelemetryTest, DisabledAggregatorIsInert) {
   EXPECT_FALSE(telemetry.WouldOpenNew(10.0));
   EXPECT_EQ(telemetry.Export().window_seconds, 0.0);
   EXPECT_TRUE(telemetry.Export().windows.empty());
-  EXPECT_EQ(telemetry.CurrentSlo().requests, 0u);
+  EXPECT_EQ(telemetry.Newest(), nullptr);
 }
 
 TEST(WindowedTelemetryTest, AssignsTimesToWindowsAndSkipsGaps) {
   WindowedTelemetry telemetry(TelemetryOptions{10.0});
   ASSERT_TRUE(telemetry.enabled());
-  telemetry.At(1.0)->AddCounter(kWindowRequests);
-  telemetry.At(9.9)->AddCounter(kWindowRequests);
-  telemetry.At(10.0)->AddCounter(kWindowRequests);
+  ++telemetry.At(1.0)->requests;
+  ++telemetry.At(9.9)->requests;
+  ++telemetry.At(10.0)->requests;
   // A long quiet gap: windows 2..9 are never materialized.
-  telemetry.At(95.0)->AddCounter(kWindowRequests);
+  ++telemetry.At(95.0)->requests;
   EXPECT_EQ(telemetry.num_windows(), 3u);
 
   const TimeseriesExport exported = telemetry.Export();
@@ -55,47 +55,66 @@ TEST(WindowedTelemetryTest, WouldOpenNewFlagsWindowTransitions) {
 
 TEST(WindowedTelemetryTest, CoalescingDoublesWidthAndPreservesTotals) {
   // Four one-second windows per ring slot: the ring overflows and must
-  // double its width at least twice.
+  // double its width at least twice. Every field gets its own per-time
+  // amount, so a field the merge drops shows up in its total.
   constexpr std::size_t kTimes = 4 * WindowedTelemetry::kMaxWindows;
   WindowedTelemetry telemetry(TelemetryOptions{1.0});
   for (std::size_t t = 0; t < kTimes; ++t) {
-    MetricsRegistry* w = telemetry.At(static_cast<double>(t) + 0.5);
+    WindowExport* w = telemetry.At(static_cast<double>(t) + 0.5);
     ASSERT_NE(w, nullptr);
-    w->AddCounter(kWindowRequests);
-    w->Histogram(kWindowCommitLatencyUs).Add(100.0);
+    w->requests += 1;
+    w->served += 2;
+    w->unserved += 3;
+    w->shed += 4;
+    w->conflicts += 5;
+    w->rematches += 6;
+    w->partial += 7;
+    for (std::size_t i = 0; i < w->ladder.size(); ++i) w->ladder[i] += 8 + i;
+    w->commit_latency_us.Add(100.0);
   }
   EXPECT_LE(telemetry.num_windows(), WindowedTelemetry::kMaxWindows);
   EXPECT_GE(telemetry.window_seconds(), 4.0);
 
   const TimeseriesExport exported = telemetry.Export();
-  std::uint64_t total_requests = 0;
-  std::uint64_t total_latency_samples = 0;
-  for (const WindowExport& w : exported.windows) {
-    total_requests += w.requests;
-    total_latency_samples += w.commit_latency_us.count();
+  WindowExport total;
+  for (const WindowExport& w : exported.windows) total.MergeFrom(w);
+  EXPECT_EQ(total.requests, kTimes);
+  EXPECT_EQ(total.served, 2 * kTimes);
+  EXPECT_EQ(total.unserved, 3 * kTimes);
+  EXPECT_EQ(total.shed, 4 * kTimes);
+  EXPECT_EQ(total.conflicts, 5 * kTimes);
+  EXPECT_EQ(total.rematches, 6 * kTimes);
+  EXPECT_EQ(total.partial, 7 * kTimes);
+  for (std::size_t i = 0; i < total.ladder.size(); ++i) {
+    EXPECT_EQ(total.ladder[i], (8 + i) * kTimes) << "ladder " << i;
   }
-  EXPECT_EQ(total_requests, kTimes);
-  EXPECT_EQ(total_latency_samples, kTimes);
+  EXPECT_EQ(total.commit_latency_us.count(), kTimes);
   EXPECT_DOUBLE_EQ(exported.window_seconds, telemetry.window_seconds());
 }
 
-TEST(WindowedTelemetryTest, CurrentSloReadsTheNewestWindow) {
+TEST(WindowedTelemetryTest, NewestIsTheLatestWindow) {
   WindowedTelemetry telemetry(TelemetryOptions{10.0});
-  MetricsRegistry* w0 = telemetry.At(5.0);
-  w0->AddCounter(kWindowRequests, 10);
-  w0->AddCounter(kWindowShed, 5);
-  w0->Histogram(kWindowCommitLatencyUs).Add(9000.0);
+  EXPECT_EQ(telemetry.Newest(), nullptr);
+  WindowExport* w0 = telemetry.At(5.0);
+  w0->requests = 10;
+  w0->shed = 5;
+  w0->commit_latency_us.Add(9000.0);
+  EXPECT_EQ(telemetry.Newest(), w0);
 
-  MetricsRegistry* w1 = telemetry.At(15.0);
-  w1->AddCounter(kWindowRequests, 4);
-  w1->AddCounter(kWindowShed, 1);
-  w1->Histogram(kWindowCommitLatencyUs).Add(100.0);
+  WindowExport* w1 = telemetry.At(15.0);
+  w1->requests = 4;
+  w1->shed = 1;
+  w1->commit_latency_us.Add(100.0);
+  // An earlier time charges its own window and leaves the newest alone.
+  ++telemetry.At(7.0)->requests;
 
-  const WindowSlo slo = telemetry.CurrentSlo();
-  EXPECT_EQ(slo.requests, 4u);
-  EXPECT_DOUBLE_EQ(slo.shed_rate, 0.25);
-  EXPECT_GT(slo.p99_commit_us, 90.0);
-  EXPECT_LT(slo.p99_commit_us, 200.0);
+  const WindowExport* newest = telemetry.Newest();
+  ASSERT_EQ(newest, w1);
+  EXPECT_EQ(newest->requests, 4u);
+  EXPECT_EQ(newest->shed, 1u);
+  EXPECT_GT(newest->commit_latency_us.Percentile(99.0), 90.0);
+  EXPECT_LT(newest->commit_latency_us.Percentile(99.0), 200.0);
+  EXPECT_EQ(telemetry.Export().windows[0].requests, 11u);
 }
 
 // --- Report round-trip -----------------------------------------------------

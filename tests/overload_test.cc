@@ -297,7 +297,7 @@ ReplayResult ReplayWithBudget(const GridWorld& world,
     result.outcomes.push_back(engine.ProcessRequest(request, matchers));
     const Engine::RequestOutcome& outcome = result.outcomes.back();
     result.stats.ladder_requests[static_cast<int>(outcome.degrade_level)]++;
-    if (outcome.shed) ++result.stats.shed_requests;
+    if (outcome.shed()) ++result.stats.shed_requests;
   }
   return result;
 }
@@ -319,11 +319,11 @@ TEST(EngineOverloadTest, FixedBudgetIsBitIdenticalAcrossThreadCounts) {
     const Engine::RequestOutcome& b = pooled.outcomes[r];
     ASSERT_EQ(a.results.size(), b.results.size()) << "request " << r;
     EXPECT_EQ(a.degrade_level, b.degrade_level) << "request " << r;
-    EXPECT_EQ(a.shed, b.shed) << "request " << r;
+    EXPECT_EQ(a.shed(), b.shed()) << "request " << r;
     EXPECT_EQ(a.served, b.served) << "request " << r;
     for (std::size_t m = 0; m < a.results.size(); ++m) {
-      EXPECT_EQ(a.evaluated[m], b.evaluated[m]);
-      if (!a.evaluated[m]) continue;
+      EXPECT_EQ(a.Evaluated(m), b.Evaluated(m));
+      if (!a.Evaluated(m)) continue;
       const MatchResult& ra = a.results[m];
       const MatchResult& rb = b.results[m];
       EXPECT_EQ(ra.complete, rb.complete) << "request " << r << " slot " << m;
@@ -376,9 +376,8 @@ TEST(EngineOverloadTest, TinyBudgetWalksLadderToShedAndRecovers) {
   EXPECT_LT(stats.shed_requests, requests.size());
   EXPECT_EQ(stats.served + stats.unserved, requests.size());
 
-  // degrade/* counters mirror the stats.
-  EXPECT_EQ(engine.metrics().Counter("degrade/shed_requests"),
-            stats.shed_requests);
+  // Shed counts live in RunStats only; degrade/* counts ladder moves.
+  EXPECT_FALSE(engine.metrics().counters().contains("degrade/shed_requests"));
   EXPECT_GT(engine.metrics().Counter("degrade/level_up"), 0u);
   EXPECT_GT(engine.metrics().Counter("degrade/level_down"), 0u);
 }
@@ -403,20 +402,49 @@ TEST(EngineOverloadTest, ShedRequestCarriesExplicitStatus) {
   for (const Request& request : requests) {
     const Engine::RequestOutcome outcome =
         engine.ProcessRequest(request, matchers);
-    if (!outcome.shed) {
-      EXPECT_TRUE(outcome.status.ok());
+    if (!outcome.shed()) {
+      EXPECT_TRUE(outcome.status().ok());
       continue;
     }
     saw_shed = true;
-    EXPECT_EQ(outcome.status.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(outcome.status().code(), StatusCode::kResourceExhausted);
     EXPECT_FALSE(outcome.served);
     EXPECT_EQ(outcome.degrade_level, DegradeLevel::kShed);
-    for (const char evaluated : outcome.evaluated) {
-      EXPECT_FALSE(evaluated);
+    for (std::size_t s = 0; s < outcome.results.size(); ++s) {
+      EXPECT_FALSE(outcome.Evaluated(s));
     }
   }
   ASSERT_TRUE(saw_shed);
   EXPECT_EQ(engine.degrade_level(), DegradeLevel::kShed);
+}
+
+TEST(EngineOverloadTest, SloWindowThatShedNeverRecoversTheLadder) {
+  // The engine closes each 60 s window and feeds its p99 and shed rate to
+  // the ladder. The SLO target is unreachable, so only the shed rate can
+  // keep a window from counting as healthy.
+  const GridWorld world = MakeGridWorld();
+  const std::vector<Request> requests = MakeRequestStream(
+      *world.graph,
+      {.num_requests = 60, .duration_seconds = 600.0, .seed = 4});
+
+  EngineOptions eopts;
+  eopts.num_vehicles = 25;
+  eopts.seed = 5;
+  eopts.overload.request_budget = 1;  // Every matched request exhausts.
+  eopts.overload.degrade_after = 1;
+  eopts.overload.recover_after = 1000;  // No per-request recovery.
+  eopts.overload.slo_p99_us = 1e12;
+  eopts.telemetry.window_seconds = 60.0;
+  eopts.audit_after_commit = false;
+  Engine engine(world.graph.get(), world.grid.get(), eopts);
+  const RunStats stats = engine.RunPipelined(
+      requests, [] { return std::make_unique<SsaMatcher>(0.16); });
+
+  // Three exhausted requests walk the ladder to kShed, and every later
+  // window holds sheds, so none of them is healthy enough to recover.
+  EXPECT_EQ(stats.shed_requests, 57u);
+  EXPECT_EQ(engine.metrics().Counter("degrade/slo_level_down"), 0u);
+  EXPECT_EQ(engine.metrics().Counter("degrade/slo_violations"), 0u);
 }
 
 // --- Schema-v2 report round-trip and back-compat. ---

@@ -74,8 +74,8 @@ TEST(RobustnessBenchTest, DeadlineHeldUnderSlowOracleFaults) {
         engine.ProcessRequest(request, matchers);
     latencies_ms.push_back(timer.ElapsedMicros() / 1e3);
     stats.ladder_requests[static_cast<int>(outcome.degrade_level)]++;
-    if (outcome.shed) ++stats.shed_requests;
-    if (!outcome.shed && !outcome.results[0].complete) {
+    if (outcome.shed()) ++stats.shed_requests;
+    if (!outcome.shed() && !outcome.results[0].complete) {
       ++stats.partial_skylines;
     }
   }
