@@ -25,8 +25,8 @@ struct BatchStats {
   std::uint64_t pairs_from_cache = 0;
   /// Pairs settled by a one-to-many sweep (each counted one compdist).
   std::uint64_t pairs_swept = 0;
-  /// First reads of a pair served by a request row (each counted one
-  /// compdist; later reads of the pair are free).
+  /// First reads of a pair served by a request row or its imported legs
+  /// (each counted one compdist; later reads of the pair are free).
   std::uint64_t warm_hits = 0;
 
   void MergeFrom(const BatchStats& other) {

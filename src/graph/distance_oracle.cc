@@ -35,11 +35,37 @@ DistanceOracle::DistanceOracle(const RoadNetwork* graph, const CHGraph* ch)
   cache_.reserve(kDefaultCacheReserve);
 }
 
-void DistanceOracle::BeginRequest(VertexId s, VertexId d) {
+void DistanceOracle::BeginRequest(VertexId s, VertexId d,
+                                  const RequestLegs& legs) {
+  PTAR_CHECK(legs.at.empty() || (legs.s == s && legs.d == d))
+      << "legs exported for another request";
   cache_.clear();
   rows_[0].anchor = s;
   rows_[1].anchor = d;
-  for (Row& row : rows_) row.filled = false;
+  for (std::size_t r = 0; r < 2; ++r) {
+    Row& row = rows_[r];
+    row.filled = false;
+    row.legs.clear();
+    for (std::size_t i = 0; i < legs.dist[r].size(); ++i) {
+      row.legs.push_back({legs.at[i], legs.dist[r][i], 0});
+    }
+  }
+}
+
+RequestLegs DistanceOracle::ExportLegs(std::vector<VertexId> at) const {
+  RequestLegs legs;
+  legs.s = rows_[0].anchor;
+  legs.d = rows_[1].anchor;
+  if (fault_hook_ || (!rows_[0].filled && !rows_[1].filled)) return legs;
+  std::sort(at.begin(), at.end());
+  at.erase(std::unique(at.begin(), at.end()), at.end());
+  for (std::size_t r = 0; r < 2; ++r) {
+    if (!rows_[r].filled) continue;
+    legs.dist[r].reserve(at.size());
+    for (const VertexId v : at) legs.dist[r].push_back(rows_[r].dist[v]);
+  }
+  legs.at = std::move(at);
+  return legs;
 }
 
 DistanceOracle::Row* DistanceOracle::RowFor(VertexId a, VertexId b,
@@ -58,18 +84,29 @@ DistanceOracle::Row* DistanceOracle::RowFor(VertexId a, VertexId b,
 }
 
 Distance DistanceOracle::ReadRow(Row& row, VertexId v) {
-  if (!row.filled) FillRow(row);
-  Distance& d = row.dist[v];
-  if (!row.read[v]) {
-    row.read[v] = 1;
+  Distance* d = nullptr;
+  char* read = nullptr;
+  const auto leg = std::lower_bound(
+      row.legs.begin(), row.legs.end(), v,
+      [](const Row::Leg& l, VertexId x) { return l.v < x; });
+  if (leg != row.legs.end() && leg->v == v) {
+    d = &leg->dist;
+    read = &leg->read;
+  } else {
+    if (!row.filled) FillRow(row);
+    d = &row.dist[v];
+    read = &row.read[v];
+  }
+  if (!*read) {
+    *read = 1;
     ++compdists_;
     ++batch_stats_.warm_hits;
-    if (d != kInfDistance && fault_hook_ && fault_hook_(row.anchor, v)) {
+    if (*d != kInfDistance && fault_hook_ && fault_hook_(row.anchor, v)) {
       ++faults_;
-      d = kInfDistance;
+      *d = kInfDistance;
     }
   }
-  return d;
+  return *d;
 }
 
 void DistanceOracle::FillRow(Row& row) {

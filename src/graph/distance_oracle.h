@@ -32,6 +32,15 @@
 // fill (so an oracle that never anchors pays nothing). A per-row read mark
 // counts each pair once per request.
 //
+// Legs carried between oracles. The committing match's oracle already
+// holds both rows when the engine commits, so it exports their values at
+// the few vertices the commit can read (ExportLegs: the skyline vehicles'
+// locations and stops, and d), and the maintenance oracle anchors with
+// them (BeginRequest(s, d, legs)): a pair the legs hold is served from
+// the oracle's own copy, with the row's bits, and only a pair outside
+// them fills the row. RowFor's rule stays the one rule for which row
+// serves a pair, on both sides.
+//
 // Bit-determinism contract: within one request (between BeginRequest or
 // ClearCache calls) every query for a pair returns the exact same double.
 // A row pair's value is its anchor's one-to-all value; a memo pair's value
@@ -79,6 +88,19 @@ enum class DistanceBackend {
 const char* DistanceBackendName(DistanceBackend backend);
 StatusOr<DistanceBackend> ParseDistanceBackend(const std::string& name);
 
+/// One request's row values at a few vertices, carried from the oracle
+/// that filled the rows (DistanceOracle::ExportLegs) to one that starts
+/// the same request (DistanceOracle::BeginRequest).
+struct RequestLegs {
+  VertexId s = kInvalidVertex;
+  VertexId d = kInvalidVertex;
+  /// Distinct vertices, ascending.
+  std::vector<VertexId> at;
+  /// dist[r][i] is row r's value (0: s's row, 1: d's) at at[i]; empty when
+  /// row r was unfilled.
+  std::vector<Distance> dist[2];
+};
+
 class DistanceOracle {
  public:
   /// Expected live pairs per request; used to pre-size the memo cache so the
@@ -102,7 +124,18 @@ class DistanceOracle {
 
   /// Starts a request: drops the memo (keeping its bucket capacity) and
   /// anchors row 0 at `s` and row 1 at `d`. Rows are filled on first read.
-  void BeginRequest(VertexId s, VertexId d);
+  /// A row pair that `legs` (exported for the same s and d) holds is read
+  /// from a copy of it instead — counted, marked and offered to the fault
+  /// hook like any row read — and never fills its row.
+  void BeginRequest(VertexId s, VertexId d, const RequestLegs& legs = {});
+
+  /// Both rows' values at `at` (duplicates allowed), for an oracle that
+  /// starts the same request with them. Reads filled rows only: an unfilled
+  /// row contributes nothing, and nothing is counted, marked or offered to
+  /// the fault hook. Empty while a fault hook is installed, because a
+  /// failed pair reads kInfDistance in its row and the importer must get
+  /// real distances.
+  RequestLegs ExportLegs(std::vector<VertexId> at) const;
 
   /// Exact shortest-path distance between a and b (undirected, so symmetric).
   /// Reads s's row when s is an endpoint, else d's row when d is one, else
@@ -186,14 +219,23 @@ class DistanceOracle {
     /// read[v] != 0 once pair (anchor, v) was read this request. Every
     /// request refills its rows, so the fill clears the marks.
     std::vector<char> read;
+    /// Values imported by BeginRequest, ascending by vertex, each with its
+    /// read mark. A vertex here is always read here, filled row or not.
+    struct Leg {
+      VertexId v = kInvalidVertex;
+      Distance dist = kInfDistance;
+      char read = 0;
+    };
+    std::vector<Leg> legs;
   };
 
   /// The row serving pair (a, b) — s's row if s is an endpoint, else d's —
   /// or null; *other receives the endpoint that is not the anchor.
   Row* RowFor(VertexId a, VertexId b, VertexId* other);
 
-  /// Reads (anchor, v) from `row`, filling the row first if needed; counts
-  /// the pair and consults the fault hook on its first read this request.
+  /// Reads (anchor, v) from the row's imported legs when they hold v, else
+  /// from `row`, filling it first if needed; counts the pair and consults
+  /// the fault hook on its first read this request.
   Distance ReadRow(Row& row, VertexId v);
 
   /// Runs the anchor's one-to-all search into the row.

@@ -5,6 +5,7 @@
 
 #include "common/timer.h"
 #include "graph/ch_preprocessor.h"
+#include "obs/trace.h"
 
 namespace ptar {
 
@@ -383,19 +384,26 @@ const Option* Engine::ChooseOption(std::span<const Option> options) {
   return nullptr;
 }
 
-void Engine::CommitChoice(const Request& request, const Option& option) {
+void Engine::CommitChoice(const Request& request, const Option& option,
+                          const RequestLegs& legs) {
   const VehicleId v = option.vehicle;
   PTAR_CHECK(v < fleet_.size());
   KineticTree& tree = fleet_[v];
   const bool was_empty = tree.IsEmpty();
-  // Every leg the commit enumerates has s or d as an endpoint, so it reads
-  // the two rows the matcher priced the option from.
-  maintenance_oracle_.BeginRequest(request.start, request.destination);
+  // Every leg the commit enumerates has s or d as an endpoint, and the
+  // match's legs hold both rows at the chosen vehicle's location and
+  // stops, so the commit reads the bits the option was priced from with no
+  // search.
+  maintenance_oracle_.BeginRequest(request.start, request.destination, legs);
   const Distance direct =
       maintenance_oracle_.Dist(request.start, request.destination);
-  PTAR_CHECK_OK(
-      tree.Commit(request, direct, option.pickup_dist, MaintenanceDistFn()));
+  {
+    PTAR_TRACE_SPAN("commit_enumerate");
+    PTAR_CHECK_OK(
+        tree.Commit(request, direct, option.pickup_dist, MaintenanceDistFn()));
+  }
   if (was_empty) registry_.RemoveEmptyVehicle(v);
+  PTAR_TRACE_SPAN("commit_register");
   SyncAfterTreeChange(v);
 }
 

@@ -12,8 +12,10 @@
 // re-registrations, commits) runs through a dedicated maintenance oracle so
 // per-matcher compdists measure matching work only, like the paper's
 // Section VII metrics. Each commit anchors that oracle's two rows at the
-// committed request's pickup and dropoff, so its legs read the values the
-// option was priced from, and clears that oracle's memo.
+// committed request's pickup and dropoff with the legs the committing
+// match exported from its own rows, so the commit reads the values the
+// option was priced from without a search of its own, and clears that
+// oracle's memo.
 
 #ifndef PTAR_SIM_ENGINE_H_
 #define PTAR_SIM_ENGINE_H_
@@ -270,7 +272,8 @@ class Engine {
   /// of later calls: one oracle per (worker, matcher slot), and each call
   /// invokes the factory once per oracle with its slot (0 = committing) —
   /// but never on the maintenance oracle, which stays a trusted distance
-  /// source for commits, refreshes, and audits. A factory (rather than one
+  /// source for commits, refreshes, and audits (a hooked slot 0 exports no
+  /// legs, so its commits fill their own rows). A factory (rather than one
   /// hook) keeps per-hook state unshared across concurrently-used oracles,
   /// and the slot argument lets callers exempt chosen slots (the
   /// differential harness keeps its reference matcher clean) by returning
@@ -430,7 +433,10 @@ class Engine {
   void ReRegister(VehicleId v);
   void RefreshStaleTrees();
   const Option* ChooseOption(std::span<const Option> options);
-  void CommitChoice(const Request& request, const Option& option);
+  /// Commits `option` for `request`; `legs` are the committing match's
+  /// exported row values (an empty export only costs row fills).
+  void CommitChoice(const Request& request, const Option& option,
+                    const RequestLegs& legs);
 
   /// Builds the contraction hierarchy when `options` selects the CH
   /// backend (null otherwise); *out_micros receives the build time.
@@ -452,7 +458,10 @@ class Engine {
   /// Shared hierarchy for the kCH backend (null on kDijkstra); declared
   /// before the oracles, which capture a pointer to it at construction.
   std::unique_ptr<CHGraph> ch_graph_;
-  DistanceOracle maintenance_oracle_;  ///< Engine bookkeeping, uncounted.
+  /// Engine bookkeeping, uncounted. A commit anchors it at the committed
+  /// request with the committing match's legs; it fills a row only for a
+  /// pair outside them.
+  DistanceOracle maintenance_oracle_;
   /// Re-invoked for every oracle that matching may touch (see
   /// SetFaultHookFactory); null when no faults are injected.
   std::function<DistanceOracle::FaultHook(std::size_t)> fault_hook_factory_;

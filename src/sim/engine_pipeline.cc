@@ -13,9 +13,11 @@
 //
 // Phase rule: nothing writes the registry or the fleet while a round
 // matches. Workers read both in place, without a lock; every write (commit,
-// advance, refresh) runs on the calling thread between rounds. A commit
-// reads its legs from the committed request's two distance rows on the
-// maintenance oracle (DESIGN.md §7).
+// advance, refresh) runs on the calling thread between rounds. Slot 0's
+// worker exports its rows' values at every vertex a commit of one of its
+// options can read (the options' vehicles' locations and stops, and d);
+// they ride on the request to its commit, which reads them on the
+// maintenance oracle instead of filling rows serially (DESIGN.md §7).
 //
 // Slot 0 commits. Shadow slots (Table III's extra matchers) run on round 0
 // at the full ladder level only, on the same world, and are scored against
@@ -83,6 +85,8 @@ struct InFlight {
   /// arbitration, and the disposition.
   obs::LifecycleEvent event;
   bool deadline_hit = false;  ///< Worker budget's latched wall deadline.
+  /// Slot 0's latest match's row values for the commit.
+  RequestLegs legs;
 };
 
 /// One unit of parallel work: slot `slot` of pending request `index`.
@@ -285,6 +289,18 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
       event.deadline_slack_us =
           std::max(0.0, overload_.DeadlineMicros() - event.match_us);
     }
+    // Every vertex KineticTree::Commit can pair with s or d for an option's
+    // vehicle: its location and its requests' stops, plus d for dist(s, d).
+    std::vector<VertexId> at = {inf.request->destination};
+    for (const Option& option : inf.out.results[0].options) {
+      const KineticTree& tree = fleet_[option.vehicle];
+      at.push_back(tree.location());
+      for (const AssignedRequest& a : tree.assigned()) {
+        at.push_back(a.request.start);
+        at.push_back(a.request.destination);
+      }
+    }
+    inf.legs = slot.oracle->ExportLegs(std::move(at));
   };
 
   // Round-0 bookkeeping, once per request in id order: ladder signals from
@@ -347,7 +363,7 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
       if (shed) ++stats.shed_requests;
     } else {
       ++stats.served;
-      CommitChoice(*inf.request, *chosen);
+      CommitChoice(*inf.request, *chosen, inf.legs);
       record = {.request = inf.request->id,
                 .served = true,
                 .vehicle = chosen->vehicle,
@@ -427,7 +443,10 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
       PTAR_TRACE_SPAN("pipeline_advance");
       Timer timer;
       AdvanceTo(wave.back().submit_time);
-      RefreshStaleTrees();
+      {
+        PTAR_TRACE_SPAN("pipeline_refresh");
+        RefreshStaleTrees();
+      }
       wave_advance_us->Add(timer.ElapsedMicros());
     }
 

@@ -351,5 +351,133 @@ TEST(RowTest, StartOnlyRequestFillsOneRow) {
   EXPECT_EQ(oracle.compdists(), 5u);
 }
 
+// --- Legs carried between oracles -----------------------------------------
+
+TEST(RowTest, ExportedLegsEqualDistBits) {
+  const RoadNetwork g = testing::MakeRandomConnectedGraph(80, 130, 37);
+  const CHGraph ch = CHPreprocessor(CHPreprocessorOptions{}).Build(g);
+  const VertexId s = 5;
+  const VertexId d = 62;
+  for (const CHGraph* backend : {static_cast<const CHGraph*>(nullptr), &ch}) {
+    DistanceOracle oracle(&g, backend);
+    oracle.BeginRequest(s, d);
+    oracle.Dist(s, 1);
+    oracle.Dist(1, d);  // both rows filled
+    const std::uint64_t compdists = oracle.compdists();
+    const BatchStats before = oracle.batch_stats();
+    const RequestLegs legs = oracle.ExportLegs({40, 7, d, 7, 19, 1});
+    // The export neither counts nor searches.
+    EXPECT_EQ(oracle.compdists(), compdists);
+    EXPECT_EQ(oracle.batch_stats().warm_hits, before.warm_hits);
+    EXPECT_EQ(oracle.batch_stats().sweeps, before.sweeps);
+    EXPECT_EQ(legs.s, s);
+    EXPECT_EQ(legs.d, d);
+    const std::vector<VertexId> want_at = {1, 7, 19, 40, d};
+    ASSERT_EQ(legs.at, want_at);
+    ASSERT_EQ(legs.dist[0].size(), want_at.size());
+    ASSERT_EQ(legs.dist[1].size(), want_at.size());
+    for (std::size_t i = 0; i < legs.at.size(); ++i) {
+      const VertexId v = legs.at[i];
+      EXPECT_EQ(legs.dist[0][i], oracle.Dist(v, s)) << "v=" << v;  // bits
+      if (v != d) {
+        EXPECT_EQ(legs.dist[1][i], oracle.Dist(d, v)) << "v=" << v;
+      }
+    }
+  }
+}
+
+TEST(RowTest, UnfilledRowExportsNothing) {
+  const RoadNetwork g = testing::MakeSmallGrid(100.0);
+  DistanceOracle oracle(&g);
+  oracle.BeginRequest(0, 8);
+  const RequestLegs none = oracle.ExportLegs({2, 4});
+  EXPECT_TRUE(none.at.empty());
+  EXPECT_TRUE(none.dist[0].empty());
+  EXPECT_TRUE(none.dist[1].empty());
+  oracle.Dist(4, 0);  // s's row only
+  const RequestLegs legs = oracle.ExportLegs({2, 4});
+  EXPECT_EQ(legs.at.size(), 2u);
+  EXPECT_EQ(legs.dist[0].size(), 2u);
+  EXPECT_TRUE(legs.dist[1].empty());
+  EXPECT_EQ(oracle.batch_stats().sweeps, 1u);
+}
+
+TEST(RowTest, HookedOracleExportsNothing) {
+  const RoadNetwork g = testing::MakeSmallGrid(100.0);
+  DistanceOracle oracle(&g);
+  int hook_calls = 0;
+  oracle.SetFaultHook([&hook_calls](VertexId, VertexId) {
+    ++hook_calls;
+    return false;
+  });
+  oracle.BeginRequest(0, 8);
+  oracle.Dist(4, 0);
+  oracle.Dist(4, 8);  // both rows filled, no pair failed
+  const RequestLegs legs = oracle.ExportLegs({2, 4, 8});
+  EXPECT_TRUE(legs.at.empty());
+  EXPECT_TRUE(legs.dist[0].empty());
+  EXPECT_TRUE(legs.dist[1].empty());
+  EXPECT_EQ(hook_calls, 2);  // the two reads; the export asks nothing
+}
+
+TEST(RowTest, ImportedLegsServeTheirPairsWithoutAFill) {
+  const RoadNetwork g = testing::MakeRandomConnectedGraph(50, 80, 17);
+  const VertexId s = 23;
+  const VertexId d = 41;
+  DistanceOracle matcher(&g);
+  matcher.BeginRequest(s, d);
+  matcher.Dist(s, 3);
+  matcher.Dist(3, d);
+  const RequestLegs legs = matcher.ExportLegs({3, 9, d});
+
+  DistanceOracle importer(&g);
+  importer.BeginRequest(s, d, legs);
+  EXPECT_EQ(importer.Dist(s, d), matcher.Dist(s, d));  // s's row at d
+  EXPECT_EQ(importer.Dist(9, s), matcher.Dist(s, 9));
+  EXPECT_EQ(importer.Dist(3, d), matcher.Dist(d, 3));
+  EXPECT_EQ(importer.Dist(d, 9), matcher.Dist(9, d));
+  EXPECT_EQ(importer.Dist(d, s), matcher.Dist(s, d));  // read again: free
+  EXPECT_EQ(importer.batch_stats().sweeps, 0u);
+  EXPECT_EQ(importer.compdists(), 4u);
+  EXPECT_EQ(importer.batch_stats().warm_hits, 4u);
+  // A pair outside the legs fills its row, with the exporter's bits.
+  EXPECT_EQ(importer.Dist(s, 30), matcher.Dist(30, s));
+  EXPECT_EQ(importer.batch_stats().sweeps, 1u);
+  EXPECT_EQ(importer.Dist(9, s), matcher.Dist(s, 9));
+  EXPECT_EQ(importer.compdists(), 5u);
+  EXPECT_EQ(importer.Dist(30, d), matcher.Dist(d, 30));
+  EXPECT_EQ(importer.batch_stats().sweeps, 2u);
+  // The next request imports nothing.
+  importer.BeginRequest(s, d);
+  importer.Dist(s, 9);
+  EXPECT_EQ(importer.batch_stats().sweeps, 3u);
+}
+
+TEST(RowTest, FaultHookSeesImportedPairsAndFailuresOutliveTheFill) {
+  const RoadNetwork g = testing::MakeSmallGrid(100.0);
+  DistanceOracle matcher(&g);
+  matcher.BeginRequest(0, 8);
+  matcher.Dist(0, 4);
+  const RequestLegs legs = matcher.ExportLegs({2, 4});
+
+  DistanceOracle importer(&g);
+  std::vector<std::pair<VertexId, VertexId>> calls;
+  importer.SetFaultHook([&calls](VertexId a, VertexId b) {
+    calls.emplace_back(a, b);
+    return b == 4;
+  });
+  importer.BeginRequest(0, 8, legs);
+  EXPECT_EQ(importer.Dist(4, 0), kInfDistance);
+  EXPECT_DOUBLE_EQ(importer.Dist(0, 2), 200.0);
+  EXPECT_EQ(importer.batch_stats().sweeps, 0u);
+  EXPECT_DOUBLE_EQ(importer.Dist(0, 6), 200.0);  // outside: fills s's row
+  EXPECT_EQ(importer.batch_stats().sweeps, 1u);
+  EXPECT_EQ(importer.Dist(0, 4), kInfDistance);  // still failed
+  const std::vector<std::pair<VertexId, VertexId>> want = {
+      {0, 4}, {0, 2}, {0, 6}};
+  EXPECT_EQ(calls, want);
+  EXPECT_EQ(importer.faults(), 1u);
+}
+
 }  // namespace
 }  // namespace ptar

@@ -2,10 +2,11 @@
 // recorder on must produce Chrome trace-event JSON that (a) parses, (b)
 // carries ph/ts/dur/pid/tid on every event, (c) is well-nested per thread
 // track, and (d) covers the wave phases; and that a commit's spans show it
-// reads only the request's distance rows. Also the determinism contract of
-// the metrics registry: a 4-worker run must produce bit-identical
-// non-timing metrics to a one-worker run at the same wave size on the same
-// seed (only "pool/..." and the *_us/*_ms/*_micros entries may differ).
+// reads the legs its match exported and searches nothing. Also the
+// determinism contract of the metrics registry: a 4-worker run must produce
+// bit-identical non-timing metrics to a one-worker run at the same wave
+// size on the same seed (only "pool/..." and the *_us/*_ms/*_micros
+// entries may differ).
 
 #include <algorithm>
 #include <cctype>
@@ -305,8 +306,9 @@ TEST(TraceRecorderTest, WritesValidWellNestedChromeTrace) {
   // (d) the phase taxonomy is present: the wave phases, one match span per
   // (request, slot) unit, plus matcher-level spans.
   for (const char* phase :
-       {"pipeline_wave", "pipeline_advance", "pipeline_match_round",
-        "pipeline_match", "pipeline_commit"}) {
+       {"pipeline_wave", "pipeline_advance", "pipeline_refresh",
+        "pipeline_match_round", "pipeline_match", "pipeline_commit",
+        "commit_enumerate", "commit_register"}) {
     EXPECT_TRUE(names.contains(phase)) << phase;
   }
   EXPECT_TRUE(names.contains("verify") || names.contains("expand_cell"));
@@ -338,67 +340,91 @@ TEST(TraceRecorderTest, WritesValidWellNestedChromeTrace) {
   }
 }
 
-// A commit reads the committed request's two distance rows on the
-// maintenance oracle: with the per-commit audit off, no point-to-point
-// search runs inside a pipeline_commit span, and its row fills number at
-// most two per served request plus two per serial-tail match.
-TEST(TraceRecorderTest, CommitsReadOnlyTheRequestRows) {
+// A commit reads its legs from the values the committing match exported:
+// with the per-commit audit off, no search runs inside a pipeline_commit
+// span but the row fills of serial-tail matches (two per match). A fault
+// hook on slot 0 — here one that never fails — empties the export, so
+// those commits fill their rows on the trusted maintenance oracle, and
+// commit the same options.
+TEST(TraceRecorderTest, CommitsReadTheMatchLegs) {
   World w = MakeWorld();
   const std::vector<Request> requests = MakeRequests(w.graph, 24);
-  EngineOptions eopts;
-  eopts.num_vehicles = 40;
-  eopts.seed = 13;
-  eopts.engine_threads = 2;
-  eopts.wave_size = 4;
-  eopts.audit_after_commit = false;
-  Engine engine(&w.graph, w.grid.get(), eopts);
-
-  obs::TraceRecorder& rec = obs::TraceRecorder::Global();
-  rec.Start();
-  const RunStats stats = engine.RunPipelined(
-      requests, [] { return std::make_unique<SsaMatcher>(1.0); });
-  rec.Stop();
-  const std::string path = TempPath("trace.json");
-  const Status st = rec.WriteJson(path);
-  ASSERT_TRUE(st.ok()) << st;
-  ASSERT_GT(stats.served, 0u);
-
-  const std::string text = ReadFile(path);
-  JsonParser parser(text);
-  const JsonValue doc = parser.Parse();
-  const JsonArray& events = doc.object().at("traceEvents").array();
-  struct Span {
-    double ts, end;
-    int tid;
+  struct Run {
+    RunStats stats;
+    std::vector<CommitRecord> log;
+    std::map<std::string, std::size_t> in_commits;  // oracle_p2p / _row
   };
-  std::vector<Span> commits;
-  std::map<std::string, std::vector<Span>> searches;  // oracle_p2p / _row
-  for (const JsonValue& ev : events) {
-    const JsonObject& o = ev.object();
-    if (o.at("ph").string() != "X") continue;
-    const std::string& name = o.at("name").string();
-    const Span span{o.at("ts").number(),
-                    o.at("ts").number() + o.at("dur").number(),
-                    static_cast<int>(o.at("tid").number())};
-    if (name == "pipeline_commit") commits.push_back(span);
-    if (name == "oracle_p2p" || name == "oracle_row") {
-      searches[name].push_back(span);
+  const auto run = [&](bool hooked) {
+    EngineOptions eopts;
+    eopts.num_vehicles = 40;
+    eopts.seed = 13;
+    eopts.engine_threads = 2;
+    eopts.wave_size = 4;
+    eopts.audit_after_commit = false;
+    Engine engine(&w.graph, w.grid.get(), eopts);
+    if (hooked) {
+      engine.SetFaultHookFactory(
+          [](std::size_t slot) -> DistanceOracle::FaultHook {
+            if (slot != 0) return nullptr;
+            return [](VertexId, VertexId) { return false; };
+          });
     }
-  }
-  ASSERT_FALSE(commits.empty());
-  const auto inside_commits = [&](const std::string& name) {
-    std::size_t n = 0;
-    for (const Span& s : searches[name]) {
-      n += std::any_of(commits.begin(), commits.end(), [&](const Span& c) {
-        return c.tid == s.tid && c.ts <= s.ts && s.end <= c.end;
-      });
+    Run out;
+    obs::TraceRecorder& rec = obs::TraceRecorder::Global();
+    rec.Start();
+    out.stats = engine.RunPipelined(
+        requests, [] { return std::make_unique<SsaMatcher>(1.0); },
+        &out.log);
+    rec.Stop();
+    const std::string path = TempPath(hooked ? "hooked.json" : "plain.json");
+    const Status st = rec.WriteJson(path);
+    EXPECT_TRUE(st.ok()) << st;
+
+    const std::string text = ReadFile(path);
+    JsonParser parser(text);
+    const JsonValue doc = parser.Parse();
+    const JsonArray& events = doc.object().at("traceEvents").array();
+    struct Span {
+      double ts, end;
+      int tid;
+    };
+    std::vector<Span> commits;
+    std::map<std::string, std::vector<Span>> searches;
+    for (const JsonValue& ev : events) {
+      const JsonObject& o = ev.object();
+      if (o.at("ph").string() != "X") continue;
+      const std::string& name = o.at("name").string();
+      const Span span{o.at("ts").number(),
+                      o.at("ts").number() + o.at("dur").number(),
+                      static_cast<int>(o.at("tid").number())};
+      if (name == "pipeline_commit") commits.push_back(span);
+      if (name == "oracle_p2p" || name == "oracle_row") {
+        searches[name].push_back(span);
+      }
     }
-    return n;
+    EXPECT_FALSE(commits.empty());
+    for (const char* name : {"oracle_p2p", "oracle_row"}) {
+      std::size_t& n = out.in_commits[name];
+      for (const Span& s : searches[name]) {
+        n += std::any_of(commits.begin(), commits.end(), [&](const Span& c) {
+          return c.tid == s.tid && c.ts <= s.ts && s.end <= c.end;
+        });
+      }
+    }
+    return out;
   };
-  EXPECT_EQ(inside_commits("oracle_p2p"), 0u);
-  const std::size_t rows = inside_commits("oracle_row");
-  EXPECT_GT(rows, 0u);
-  EXPECT_LE(rows, 2 * (stats.served + stats.serial_rematches));
+
+  const Run plain = run(/*hooked=*/false);
+  ASSERT_GT(plain.stats.served, 0u);
+  EXPECT_EQ(plain.in_commits.at("oracle_p2p"), 0u);
+  EXPECT_LE(plain.in_commits.at("oracle_row"),
+            2 * plain.stats.serial_rematches);
+
+  const Run hooked = run(/*hooked=*/true);
+  EXPECT_EQ(hooked.in_commits.at("oracle_p2p"), 0u);
+  EXPECT_GT(hooked.in_commits.at("oracle_row"),
+            2 * hooked.stats.serial_rematches);
+  EXPECT_EQ(hooked.log, plain.log);
 }
 
 TEST(TraceRecorderTest, DeterministicMetricsMatchAcrossThreadCounts) {
