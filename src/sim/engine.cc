@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/timer.h"
@@ -250,6 +251,7 @@ void Engine::SyncAfterTreeChange(VehicleId v) {
     registry_.AddEmptyVehicle(v, tree.location());
     rt.route.assign(1, tree.location());
     rt.pos = 0;
+    rt.edge_len = VehicleRuntime::kNoEdge;
     rt.edge_progress = 0.0;
     return;
   }
@@ -261,56 +263,67 @@ void Engine::SyncAfterTreeChange(VehicleId v) {
   PTAR_CHECK(rt.route.size() >= 2)
       << "scheduled stop unreachable from vehicle location";
   rt.pos = 0;
+  rt.edge_len = VehicleRuntime::kNoEdge;
   rt.edge_progress = 0.0;
 }
 
-void Engine::TickVehicle(VehicleId v, double budget_meters) {
-  VehicleRuntime& rt = runtimes_[v];
-  rt.budget += budget_meters;
+bool Engine::VehicleRuntime::SettleMidEdge() {
+  if (!(budget + kDistEps < edge_len - edge_progress)) return false;
+  edge_progress += budget;
+  budget = 0.0;
+  return true;
+}
 
+void Engine::TickVehicle(VehicleId v) {
+  VehicleRuntime& rt = runtimes_[v];
+  KineticTree& tree = fleet_[v];
   while (true) {
-    KineticTree& tree = fleet_[v];
-    if (rt.pos + 1 >= rt.route.size()) {
-      if (!tree.IsEmpty()) {
-        // Route exhausted but stops remain: replan (can happen right after
-        // external tree changes).
-        SyncAfterTreeChange(v);
-        if (rt.pos + 1 >= rt.route.size()) return;  // became idle
-        continue;
+    if (!std::isnan(rt.edge_len)) {
+      // The budget reaches the edge's end: cross to its head.
+      PTAR_DCHECK(rt.edge_len ==
+                  ArcWeight(rt.route[rt.pos], rt.route[rt.pos + 1]));
+      const Distance edge_len = rt.edge_len;
+      rt.budget -= edge_len - rt.edge_progress;
+      rt.edge_len = VehicleRuntime::kNoEdge;
+      rt.edge_progress = 0.0;
+      const VertexId to = rt.route[++rt.pos];
+
+      const bool was_empty = tree.IsEmpty();
+      tree.MoveTo(to, edge_len);
+      if (was_empty) {
+        registry_.MoveEmptyVehicle(v, to);
+      } else {
+        registry_.AdjustVehicleDistTr(v, edge_len);
+        if (rt.pos + 1 == rt.route.size()) {
+          // Reached the scheduled stop: serve it and replan.
+          SyncAfterTreeChange(v);
+        }
       }
-      // Idle vehicle: wander onto a random incident road segment.
+    }
+
+    if (rt.pos + 1 >= rt.route.size() && !tree.IsEmpty()) {
+      // Route exhausted but stops remain: replan (can happen right after
+      // external tree changes).
+      SyncAfterTreeChange(v);
+      if (rt.pos + 1 >= rt.route.size()) return;  // became idle
+    }
+    if (rt.pos + 1 < rt.route.size()) {
+      rt.edge_len = ArcWeight(rt.route[rt.pos], rt.route[rt.pos + 1]);
+    } else {
+      // Idle vehicle: wander onto a random incident road segment. Its
+      // length is ArcWeight's (the shortest arc to `next`), read off the
+      // span already in hand.
       const std::span<const Arc> arcs = graph_->OutArcs(tree.location());
       if (arcs.empty()) return;  // stranded on an isolated vertex
       const VertexId next = arcs[rng_.UniformIndex(arcs.size())].head;
       rt.route.assign({tree.location(), next});
       rt.pos = 0;
-      rt.edge_progress = 0.0;
-    }
-
-    const VertexId from = rt.route[rt.pos];
-    const VertexId to = rt.route[rt.pos + 1];
-    const Distance edge_len = ArcWeight(from, to);
-    const Distance need = edge_len - rt.edge_progress;
-    if (rt.budget + kDistEps < need) {
-      rt.edge_progress += rt.budget;
-      rt.budget = 0.0;
-      return;
-    }
-    rt.budget -= need;
-    rt.edge_progress = 0.0;
-    ++rt.pos;
-
-    const bool was_empty = tree.IsEmpty();
-    tree.MoveTo(to, edge_len);
-    if (was_empty) {
-      registry_.MoveEmptyVehicle(v, to);
-    } else {
-      registry_.AdjustVehicleDistTr(v, edge_len);
-      if (rt.pos + 1 == rt.route.size()) {
-        // Reached the scheduled stop: serve it and replan.
-        SyncAfterTreeChange(v);
+      rt.edge_len = kInfDistance;
+      for (const Arc& arc : arcs) {
+        if (arc.head == next) rt.edge_len = std::min(rt.edge_len, arc.weight);
       }
     }
+    if (rt.SettleMidEdge()) return;
   }
 }
 
@@ -319,7 +332,10 @@ void Engine::AdvanceTo(double time) {
     const double dt = std::min(kTickSeconds, time - now_);
     const double budget = kDefaultSpeedMetersPerSec * dt;
     for (VehicleId v = 0; v < fleet_.size(); ++v) {
-      TickVehicle(v, budget);
+      // Most ticks end mid-edge and touch only the runtime.
+      VehicleRuntime& rt = runtimes_[v];
+      rt.budget += budget;
+      if (!rt.SettleMidEdge()) TickVehicle(v);
     }
     now_ += dt;
   }

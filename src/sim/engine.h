@@ -23,6 +23,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -378,11 +379,27 @@ class Engine {
   int ResolvedWaveSize() const;
 
  private:
+  /// Where a vehicle is between vertices. A vehicle on an edge drives
+  /// route[pos] -> route[pos + 1]; one standing at route[pos] has taken no
+  /// edge yet (edge_len is kNoEdge and edge_progress 0).
   struct VehicleRuntime {
+    static constexpr Distance kNoEdge =
+        std::numeric_limits<Distance>::quiet_NaN();
+
     std::vector<VertexId> route;  ///< Vertex path being driven.
     std::size_t pos = 0;          ///< Index of the current vertex in route.
-    double edge_progress = 0.0;   ///< Meters advanced into the next edge.
-    double budget = 0.0;          ///< Unspent movement distance.
+    /// Length of the edge being driven, read from the graph once when the
+    /// vehicle takes it; kNoEdge after a crossing and wherever route or
+    /// pos is written.
+    Distance edge_len = kNoEdge;
+    double edge_progress = 0.0;  ///< Meters advanced into the edge.
+    double budget = 0.0;         ///< Unspent movement distance.
+
+    /// Spends the whole budget inside the edge and returns true when it
+    /// falls short of the edge's end. Returns false and changes nothing
+    /// when it reaches the end or no edge is taken (a NaN length fails the
+    /// compare).
+    bool SettleMidEdge();
   };
 
   /// Everything one (worker, matcher slot) pair owns.
@@ -425,7 +442,12 @@ class Engine {
   /// repairs on findings and bumps the audit/* counters.
   void AuditAfterCommit(VehicleId v);
   Distance ArcWeight(VertexId u, VertexId v) const;
-  void TickVehicle(VehicleId v, double budget_meters);
+  /// Finishes vehicle v's tick once AdvanceTo has found that its budget
+  /// reaches the end of its edge or that it has taken no edge: crosses
+  /// vertices (serving stops and replanning, or drawing an idle walk's next
+  /// edge from rng_) and takes each next edge, reading its length once,
+  /// until the budget ends mid-edge or the vehicle cannot move.
+  void TickVehicle(VehicleId v);
   /// Serves co-located stops, fixes the vehicle's registry membership, and
   /// replans its driving route. Called after any change to a non-empty
   /// kinetic tree; registers the vehicle as empty if its tree empties.
