@@ -1,7 +1,9 @@
 // Micro-benchmark for advancing an idle fleet: Engine::AdvanceTo over
 // fleet10k-sparse's city (100x100 grid, city seed 42, 400 m cells) with 1k
-// and 10k random-walking vehicles, called 188 times at fractional times over
-// 4,500 sim-s as that workload's waves do. Reports ns per vehicle-tick.
+// and 10k random-walking vehicles on one engine thread, and 10k on four (the
+// idle walks then run on the pool), called 188 times at fractional times
+// over 4,500 sim-s as that workload's waves do. Reports ns per vehicle-tick
+// of wall time. Arguments: vehicles, engine threads.
 
 #include <benchmark/benchmark.h>
 
@@ -44,6 +46,7 @@ double CallTime(int k) { return kHorizonSeconds * k / kCalls; }
 void BM_AdvanceIdleFleet(benchmark::State& state) {
   ptar::EngineOptions opts;
   opts.num_vehicles = static_cast<int>(state.range(0));
+  opts.engine_threads = static_cast<int>(state.range(1));
   // The engine's ticks: one per whole second, plus a short one wherever a
   // call ends between seconds.
   double ticks = 0.0;
@@ -68,8 +71,9 @@ void BM_AdvanceIdleFleet(benchmark::State& state) {
       seconds * 1e9 / (ticks * state.iterations() * opts.num_vehicles);
 }
 BENCHMARK(BM_AdvanceIdleFleet)
-    ->Arg(1000)
-    ->Arg(10000)
+    ->Args({1000, 1})
+    ->Args({10000, 1})
+    ->Args({10000, 4})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

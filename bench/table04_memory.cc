@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "common/random.h"
 #include "common/timer.h"
 #include "graph/dijkstra.h"
 #include "kinetic/kinetic_tree.h"
@@ -40,15 +41,6 @@ constexpr int kBarVehicles = 10000;
 /// The pre-arena tree shipped with max_branches=64, so the bar row runs at
 /// that cap; the uncapped row is reported without a bar.
 constexpr std::size_t kSeedDefaultCap = 64;
-
-/// SplitMix64; the bench's only randomness source (deterministic per seed).
-std::uint64_t NextRand(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 struct CellRow {
   double cell_size_meters = 0.0;
@@ -148,8 +140,8 @@ void SnapshotVehicle(int vehicle, std::size_t cap,
                      const PooledDistances& dists,
                      const KineticTree::DistFn& dist, FleetRow* row,
                      std::vector<std::size_t>* branch_counts) {
-  std::uint64_t rng = 0x9e3779b97f4a7c15ULL * (vehicle + 1) ^ 0xd1b54a32;
-  const std::size_t loc_idx = dists.PoolIndex(NextRand(rng));
+  SplitMix64 rng(SplitMix64::kGamma * (vehicle + 1) ^ 0xd1b54a32);
+  const std::size_t loc_idx = dists.PoolIndex(rng.Next());
   const VertexId location = dists.At(loc_idx);
   KineticTree arena(vehicle, location, /*capacity=*/5,
                     cap == 0 ? KineticTree::kUnlimitedBranches : cap);
@@ -159,20 +151,20 @@ void SnapshotVehicle(int vehicle, std::size_t cap,
   // requests picked up near the vehicle and dropped near a common
   // destination neighborhood, the workload shape that actually rideshares
   // and therefore grows real multi-branch trees.
-  const std::uint64_t load_roll = NextRand(rng) % 100;
+  const std::uint64_t load_roll = rng.Next() % 100;
   const int num_requests =
-      load_roll < 10 ? 0 : static_cast<int>(NextRand(rng) % 2) + 4;
-  const std::size_t dest_idx = dists.PoolIndex(NextRand(rng));
+      load_roll < 10 ? 0 : static_cast<int>(rng.Next() % 2) + 4;
+  const std::size_t dest_idx = dists.PoolIndex(rng.Next());
   for (int j = 0; j < num_requests; ++j) {
     Request r;
     r.id = j + 1;
-    r.start = dists.Near(loc_idx, NextRand(rng));
+    r.start = dists.Near(loc_idx, rng.Next());
     do {
-      r.destination = dists.Near(dest_idx, NextRand(rng));
+      r.destination = dists.Near(dest_idx, rng.Next());
     } while (r.destination == r.start);
     r.riders = 1;
-    r.max_wait_dist = 3000.0 + static_cast<double>(NextRand(rng) % 2500);
-    r.epsilon = 1.8 + 0.01 * static_cast<double>(NextRand(rng) % 60);
+    r.max_wait_dist = 3000.0 + static_cast<double>(rng.Next() % 2500);
+    r.epsilon = 1.8 + 0.01 * static_cast<double>(rng.Next() % 60);
     const Distance direct = dist(r.start, r.destination);
     if (arena.Commit(r, direct, direct, dist).ok()) ++row->requests;
   }

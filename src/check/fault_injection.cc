@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/random.h"
 #include "common/timer.h"
 #include "prune/ellipse_prefilter.h"
 #include "rideshare/baseline_matcher.h"
@@ -40,15 +41,14 @@ MatchResult BrokenPrefilterMatcher::Match(const Request& request,
 
 namespace {
 
-/// SplitMix64 finalizer: a pure, well-mixed hash of the pair + seed.
+/// First draw of the SplitMix64 stream at the (unordered) pair + seed: a
+/// pure, well-mixed hash.
 std::uint64_t MixPair(VertexId a, VertexId b, std::uint64_t seed) {
   if (a > b) std::swap(a, b);
-  std::uint64_t z = (static_cast<std::uint64_t>(a) << 32 |
+  return SplitMix64((static_cast<std::uint64_t>(a) << 32 |
                      static_cast<std::uint64_t>(b)) +
-                    seed + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+                    seed)
+      .Next();
 }
 
 void BusyWaitMicros(double micros) {

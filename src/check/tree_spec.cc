@@ -10,6 +10,7 @@
 
 #include "check/scenario.h"
 #include "common/logging.h"
+#include "common/random.h"
 #include "graph/ch_graph.h"
 #include "graph/ch_preprocessor.h"
 #include "graph/dijkstra.h"
@@ -65,15 +66,6 @@ bool SameBookkeeping(const KineticTree& tree, const SpecVehicle& model) {
                     });
 }
 
-/// SplitMix64: the op stream's only randomness.
-std::uint64_t NextRand(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 /// One seeded op stream on one tree; `cap` 0 means uncapped.
 TreeSpecOutcome RunOne(std::uint64_t seed, DistanceBackend backend,
                        std::size_t cap) {
@@ -108,7 +100,7 @@ TreeSpecOutcome RunOne(std::uint64_t seed, DistanceBackend backend,
   KineticTree tree(0, model.location, model.capacity,
                    cap > 0 ? cap : KineticTree::kUnlimitedBranches);
 
-  std::uint64_t rng = seed * 0x9e3779b97f4a7c15ULL + 1;
+  SplitMix64 rng(seed * SplitMix64::kGamma + 1);
   std::size_t next_spec_request = 0;
   RequestId synth_id = 1u << 20;
   auto make_request = [&]() -> Request {
@@ -117,12 +109,12 @@ TreeSpecOutcome RunOne(std::uint64_t seed, DistanceBackend backend,
     }
     Request r;
     r.id = synth_id++;
-    r.start = static_cast<VertexId>(NextRand(rng) % graph.num_vertices());
+    r.start = static_cast<VertexId>(rng.Next() % graph.num_vertices());
     r.destination =
-        static_cast<VertexId>(NextRand(rng) % graph.num_vertices());
-    r.riders = 1 + static_cast<int>(NextRand(rng) % 2);
-    r.epsilon = 1.2 + 0.1 * static_cast<double>(NextRand(rng) % 9);
-    r.max_wait_dist = 500.0 + static_cast<double>(NextRand(rng) % 2000);
+        static_cast<VertexId>(rng.Next() % graph.num_vertices());
+    r.riders = 1 + static_cast<int>(rng.Next() % 2);
+    r.epsilon = 1.2 + 0.1 * static_cast<double>(rng.Next() % 9);
+    r.max_wait_dist = 500.0 + static_cast<double>(rng.Next() % 2000);
     return r;
   };
 
@@ -185,7 +177,7 @@ TreeSpecOutcome RunOne(std::uint64_t seed, DistanceBackend backend,
   constexpr std::uint64_t kOps = 160;
   for (; op < kOps && outcome.ok(); ++op) {
     ++outcome.ops;
-    const std::uint64_t roll = NextRand(rng) % 100;
+    const std::uint64_t roll = rng.Next() % 100;
     if (roll < 40 && model.assigned.size() < 6) {
       what = "commit";
       if (tree.stale()) tree.Refresh(dist);

@@ -26,36 +26,44 @@ const VehicleRegistry::CellState* VehicleRegistry::FindState(
   return it == cells_.end() ? nullptr : &it->second;
 }
 
+CellId VehicleRegistry::EmptyCellOf(VehicleId vehicle) const {
+  return vehicle < empty_vehicle_cell_.size() ? empty_vehicle_cell_[vehicle]
+                                              : kInvalidCell;
+}
+
 void VehicleRegistry::AddEmptyVehicle(VehicleId vehicle, VertexId location) {
-  PTAR_CHECK(!empty_vehicle_cell_.contains(vehicle))
+  PTAR_CHECK(EmptyCellOf(vehicle) == kInvalidCell)
       << "vehicle " << vehicle << " already registered as empty";
+  if (vehicle >= empty_vehicle_cell_.size()) {
+    empty_vehicle_cell_.resize(vehicle + 1, kInvalidCell);
+  }
   const CellId cell = grid_->CellOfVertex(location);
   StateFor(cell).empty_vehicles.push_back(vehicle);
-  empty_vehicle_cell_.emplace(vehicle, cell);
+  empty_vehicle_cell_[vehicle] = cell;
 }
 
 void VehicleRegistry::RemoveEmptyVehicle(VehicleId vehicle) {
-  auto it = empty_vehicle_cell_.find(vehicle);
-  PTAR_CHECK(it != empty_vehicle_cell_.end())
+  const CellId cell = EmptyCellOf(vehicle);
+  PTAR_CHECK(cell != kInvalidCell)
       << "vehicle " << vehicle << " is not registered as empty";
-  std::vector<VehicleId>& list = StateFor(it->second).empty_vehicles;
+  std::vector<VehicleId>& list = StateFor(cell).empty_vehicles;
   auto pos = std::find(list.begin(), list.end(), vehicle);
   PTAR_DCHECK(pos != list.end());
   *pos = list.back();
   list.pop_back();
-  empty_vehicle_cell_.erase(it);
+  empty_vehicle_cell_[vehicle] = kInvalidCell;
 }
 
 void VehicleRegistry::MoveEmptyVehicle(VehicleId vehicle,
                                        VertexId new_location) {
-  auto it = empty_vehicle_cell_.find(vehicle);
-  PTAR_CHECK(it != empty_vehicle_cell_.end())
+  const CellId cell = EmptyCellOf(vehicle);
+  PTAR_CHECK(cell != kInvalidCell)
       << "vehicle " << vehicle << " is not registered as empty";
   const CellId new_cell = grid_->CellOfVertex(new_location);
-  if (it->second == new_cell) return;
+  if (cell == new_cell) return;
   RemoveEmptyVehicle(vehicle);
   StateFor(new_cell).empty_vehicles.push_back(vehicle);
-  empty_vehicle_cell_.emplace(vehicle, new_cell);
+  empty_vehicle_cell_[vehicle] = new_cell;
 }
 
 std::span<const VehicleId> VehicleRegistry::EmptyVehicles(CellId cell) const {
@@ -68,6 +76,9 @@ void VehicleRegistry::SetVehicleEdges(
     VehicleId vehicle,
     const std::vector<std::pair<CellId, KineticEdgeEntry>>& entries) {
   ClearVehicleEdges(vehicle);
+  if (vehicle >= vehicle_edge_cells_.size()) {
+    vehicle_edge_cells_.resize(vehicle + 1);
+  }
   std::vector<CellId>& cells = vehicle_edge_cells_[vehicle];
   for (const auto& [cell, entry] : entries) {
     PTAR_DCHECK(entry.vehicle == vehicle);
@@ -81,24 +92,22 @@ void VehicleRegistry::SetVehicleEdges(
 }
 
 void VehicleRegistry::ClearVehicleEdges(VehicleId vehicle) {
-  auto it = vehicle_edge_cells_.find(vehicle);
-  if (it == vehicle_edge_cells_.end()) return;
-  for (const CellId cell : it->second) {
+  if (vehicle >= vehicle_edge_cells_.size()) return;
+  std::vector<CellId>& cells = vehicle_edge_cells_[vehicle];
+  for (const CellId cell : cells) {
     CellState& state = StateFor(cell);
     std::erase_if(state.edges, [vehicle](const KineticEdgeEntry& entry) {
       return entry.vehicle == vehicle;
     });
     state.aggregates_dirty = true;
   }
-  vehicle_edge_cells_.erase(it);
+  cells.clear();
 }
 
 void VehicleRegistry::AdjustVehicleDistTr(VehicleId vehicle,
                                           Distance driven) {
-  if (driven <= 0.0) return;
-  auto it = vehicle_edge_cells_.find(vehicle);
-  if (it == vehicle_edge_cells_.end()) return;
-  for (const CellId cell : it->second) {
+  if (driven <= 0.0 || vehicle >= vehicle_edge_cells_.size()) return;
+  for (const CellId cell : vehicle_edge_cells_[vehicle]) {
     CellState& state = StateFor(cell);
     for (KineticEdgeEntry& entry : state.edges) {
       if (entry.vehicle == vehicle) {
@@ -174,9 +183,9 @@ std::size_t VehicleRegistry::AuditAggregates(
 }
 
 std::size_t VehicleRegistry::MemoryBytes() const {
-  // Actual heap footprint, not just payload: every hash table owns its
+  // Actual heap footprint, not just payload: the cell table owns its
   // bucket array plus one individually allocated node (entry + chain
-  // pointer) per element, and every non-empty vector owns one block of
+  // pointer) per cell, and every non-empty vector owns one block of
   // capacity() elements. kAllocOverhead is the per-malloc bookkeeping the
   // kinetic accounting uses (verified against a counting allocator in
   // kinetic_memory_test).
@@ -185,24 +194,18 @@ std::size_t VehicleRegistry::MemoryBytes() const {
   const auto block = [&](std::size_t cap, std::size_t elem) {
     if (cap != 0) bytes += cap * elem + kAllocOverhead;
   };
-  const auto table = [&](std::size_t buckets, std::size_t nodes,
-                         std::size_t entry) {
-    block(buckets, sizeof(void*));
-    bytes += nodes * (entry + sizeof(void*) + kAllocOverhead);
-  };
-  table(cells_.bucket_count(), cells_.size(),
-        sizeof(std::pair<const CellId, CellState>));
+  block(cells_.bucket_count(), sizeof(void*));
+  bytes += cells_.size() * (sizeof(std::pair<const CellId, CellState>) +
+                            sizeof(void*) + kAllocOverhead);
   for (const auto& [cell, state] : cells_) {
     block(state.empty_vehicles.capacity(), sizeof(VehicleId));
     block(state.edges.capacity(), sizeof(KineticEdgeEntry));
   }
-  table(vehicle_edge_cells_.bucket_count(), vehicle_edge_cells_.size(),
-        sizeof(std::pair<const VehicleId, std::vector<CellId>>));
-  for (const auto& [vehicle, cells] : vehicle_edge_cells_) {
+  block(vehicle_edge_cells_.capacity(), sizeof(std::vector<CellId>));
+  for (const std::vector<CellId>& cells : vehicle_edge_cells_) {
     block(cells.capacity(), sizeof(CellId));
   }
-  table(empty_vehicle_cell_.bucket_count(), empty_vehicle_cell_.size(),
-        sizeof(std::pair<const VehicleId, CellId>));
+  block(empty_vehicle_cell_.capacity(), sizeof(CellId));
   return bytes;
 }
 

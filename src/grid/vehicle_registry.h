@@ -163,6 +163,8 @@ class VehicleRegistry {
   /// Write access to a cell's state (created on first use); bumps epoch_.
   CellState& StateFor(CellId cell);
   const CellState* FindState(CellId cell) const;
+  /// The cell `vehicle` is registered in as empty, or kInvalidCell.
+  CellId EmptyCellOf(VehicleId vehicle) const;
   static CellAggregates ComputeAggregates(const GridIndex& grid, CellId cell,
                                           const CellState& state);
 
@@ -170,9 +172,12 @@ class VehicleRegistry {
   // Sparse: only cells that ever held a vehicle get state.
   std::unordered_map<CellId, CellState> cells_;
   std::uint64_t epoch_ = 0;
-  // Reverse maps for O(entries) removal.
-  std::unordered_map<VehicleId, CellId> empty_vehicle_cell_;
-  std::unordered_map<VehicleId, std::vector<CellId>> vehicle_edge_cells_;
+  // Reverse maps for O(entries) removal, indexed by the dense vehicle ids
+  // and grown on first use: each empty vehicle's cell (kInvalidCell when
+  // not registered as empty), and the sorted distinct cells holding each
+  // vehicle's edges (empty when it has none).
+  std::vector<CellId> empty_vehicle_cell_;
+  std::vector<std::vector<CellId>> vehicle_edge_cells_;
 };
 
 }  // namespace ptar

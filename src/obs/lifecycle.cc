@@ -4,19 +4,18 @@
 #include <cstdio>
 
 #include "common/logging.h"
+#include "common/random.h"
 #include "obs/json_writer.h"
 
 namespace ptar::obs {
 
 namespace {
 
-/// SplitMix64 finalizer over (seed, id): a pure, well-mixed sampling hash,
-/// the same construction the fault injector uses for per-pair faults.
+/// First draw of the SplitMix64 stream at id + seed: a pure, well-mixed
+/// sampling hash, the same construction the fault injector uses for
+/// per-pair faults.
 std::uint64_t MixId(std::uint64_t id, std::uint64_t seed) {
-  std::uint64_t z = id + seed + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return SplitMix64(id + seed).Next();
 }
 
 void AppendKV(std::string* out, const char* key, std::uint64_t value) {

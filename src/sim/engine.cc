@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
 #include <limits>
 
 #include "common/timer.h"
@@ -17,6 +18,17 @@ constexpr Distance kDistEps = 1e-9;
 /// Simulation step: vehicles advance kDefaultSpeedMetersPerSec * kTickSeconds
 /// meters per step.
 constexpr double kTickSeconds = 1.0;
+
+/// Spends the whole budget inside an edge of length `len` and returns true
+/// when it falls short of the edge's end. Returns false and changes nothing
+/// when it reaches the end or no edge is taken (a NaN length fails the
+/// compare).
+bool SettleMidEdge(double& budget, double& progress, Distance len) {
+  if (!(budget + kDistEps < len - progress)) return false;
+  progress += budget;
+  budget = 0.0;
+  return true;
+}
 
 }  // namespace
 
@@ -97,6 +109,7 @@ Engine::Engine(const RoadNetwork* graph, const GridIndex* grid,
     fleet_.emplace_back(static_cast<VehicleId>(i), start,
                         options.vehicle_capacity, options.tree_max_branches);
     runtimes_[i].route.assign(1, start);
+    runtimes_[i].walk = SplitMix64(DeriveSeed(options_.seed, i));
     registry_.AddEmptyVehicle(static_cast<VehicleId>(i), start);
   }
 }
@@ -267,13 +280,6 @@ void Engine::SyncAfterTreeChange(VehicleId v) {
   rt.edge_progress = 0.0;
 }
 
-bool Engine::VehicleRuntime::SettleMidEdge() {
-  if (!(budget + kDistEps < edge_len - edge_progress)) return false;
-  edge_progress += budget;
-  budget = 0.0;
-  return true;
-}
-
 void Engine::TickVehicle(VehicleId v) {
   VehicleRuntime& rt = runtimes_[v];
   KineticTree& tree = fleet_[v];
@@ -290,9 +296,7 @@ void Engine::TickVehicle(VehicleId v) {
 
       const bool was_empty = tree.IsEmpty();
       tree.MoveTo(to, edge_len);
-      if (was_empty) {
-        registry_.MoveEmptyVehicle(v, to);
-      } else {
+      if (!was_empty) {
         registry_.AdjustVehicleDistTr(v, edge_len);
         if (rt.pos + 1 == rt.route.size()) {
           // Reached the scheduled stop: serve it and replan.
@@ -315,7 +319,7 @@ void Engine::TickVehicle(VehicleId v) {
       // span already in hand.
       const std::span<const Arc> arcs = graph_->OutArcs(tree.location());
       if (arcs.empty()) return;  // stranded on an isolated vertex
-      const VertexId next = arcs[rng_.UniformIndex(arcs.size())].head;
+      const VertexId next = arcs[rt.walk.UniformIndex(arcs.size())].head;
       rt.route.assign({tree.location(), next});
       rt.pos = 0;
       rt.edge_len = kInfDistance;
@@ -323,21 +327,110 @@ void Engine::TickVehicle(VehicleId v) {
         if (arc.head == next) rt.edge_len = std::min(rt.edge_len, arc.weight);
       }
     }
-    if (rt.SettleMidEdge()) return;
+    if (SettleMidEdge(rt.budget, rt.edge_progress, rt.edge_len)) return;
   }
 }
 
+void Engine::AdvanceVehicle(VehicleId v, std::span<const double> ticks) {
+  VehicleRuntime& rt = runtimes_[v];
+  // Locals, not rt's fields, which the compiler must assume alias `ticks`.
+  double budget = rt.budget;
+  double progress = rt.edge_progress;
+  Distance len = rt.edge_len;
+  for (const double tick : ticks) {
+    budget += tick;
+    if (SettleMidEdge(budget, progress, len)) continue;
+    rt.budget = budget;
+    rt.edge_progress = progress;
+    TickVehicle(v);
+    budget = rt.budget;
+    progress = rt.edge_progress;
+    len = rt.edge_len;
+  }
+  rt.budget = budget;
+  rt.edge_progress = progress;
+}
+
+ThreadPool* Engine::Pool() {
+  if (options_.engine_threads > 1 && pool_ == nullptr) {
+    pool_ = std::make_unique<ThreadPool>(options_.engine_threads);
+    // Queue-wait intervals land on the worker's own trace track; the
+    // recorder drops them (one branch) when tracing is off.
+    pool_->SetTaskWaitObserver([](double wait_micros) {
+      obs::TraceRecorder::Global().RecordEndingNow("pool_queue_wait",
+                                                   wait_micros);
+    });
+  }
+  return pool_.get();
+}
+
 void Engine::AdvanceTo(double time) {
+  // The call's tick budgets, summed into now_ exactly as one tick at a
+  // time would.
+  std::vector<double> ticks;
   while (now_ + kTimeEps < time) {
     const double dt = std::min(kTickSeconds, time - now_);
-    const double budget = kDefaultSpeedMetersPerSec * dt;
-    for (VehicleId v = 0; v < fleet_.size(); ++v) {
-      // Most ticks end mid-edge and touch only the runtime.
-      VehicleRuntime& rt = runtimes_[v];
-      rt.budget += budget;
-      if (!rt.SettleMidEdge()) TickVehicle(v);
-    }
+    ticks.push_back(kDefaultSpeedMetersPerSec * dt);
     now_ += dt;
+  }
+  if (ticks.empty()) return;
+
+  std::vector<VehicleId> idle;
+  std::vector<VehicleId> busy;
+  for (VehicleId v = 0; v < fleet_.size(); ++v) {
+    (fleet_[v].IsEmpty() ? idle : busy).push_back(v);
+  }
+
+  // An idle vehicle stays idle for the whole call (only commits assign
+  // riders), and its walk touches its own tree, runtime and stream and
+  // the read-only graph, so idle vehicles advance on the pool in one
+  // contiguous chunk per worker. Each chunk lists, in id order, its
+  // vehicles that ended the call in another cell.
+  ThreadPool* pool = Pool();
+  const std::size_t chunks = std::min<std::size_t>(
+      idle.size(), static_cast<std::size_t>(options_.engine_threads));
+  std::vector<std::vector<VehicleId>> moved(chunks);
+  const auto walk_chunk = [&](std::size_t c) {
+    PTAR_TRACE_SPAN("advance_idle");
+    const std::size_t end = idle.size() * (c + 1) / chunks;
+    for (std::size_t i = idle.size() * c / chunks; i < end; ++i) {
+      const VehicleId v = idle[i];
+      const CellId from = grid_->CellOfVertex(fleet_[v].location());
+      AdvanceVehicle(v, ticks);
+      if (grid_->CellOfVertex(fleet_[v].location()) != from) {
+        moved[c].push_back(v);
+      }
+    }
+  };
+  std::vector<std::future<void>> pending;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    if (pool == nullptr) {
+      walk_chunk(c);
+    } else {
+      pending.push_back(pool->Submit([&walk_chunk, c] { walk_chunk(c); }));
+    }
+  }
+  // Meanwhile busy vehicles, which serve stops, replan and write the
+  // registry, advance here.
+  {
+    PTAR_TRACE_SPAN("advance_busy");
+    for (const VehicleId v : busy) AdvanceVehicle(v, ticks);
+  }
+  for (std::future<void>& f : pending) f.get();
+
+  // Empty vehicles' crossings wrote no registry cell: move each one whose
+  // cell may have changed, in id order, whatever the thread count. A busy
+  // vehicle that emptied registered where its last rider left.
+  std::vector<VehicleId> relocate;
+  for (const std::vector<VehicleId>& chunk : moved) {
+    relocate.insert(relocate.end(), chunk.begin(), chunk.end());
+  }
+  for (const VehicleId v : busy) {
+    if (fleet_[v].IsEmpty()) relocate.push_back(v);
+  }
+  std::sort(relocate.begin(), relocate.end());
+  for (const VehicleId v : relocate) {
+    registry_.MoveEmptyVehicle(v, fleet_[v].location());
   }
 }
 

@@ -79,7 +79,8 @@ struct EngineOptions {
   /// num_vehicles. Replay files (src/check) use this so that removing one
   /// vehicle during shrinking does not reshuffle every other start.
   std::vector<VertexId> start_vertices;
-  /// Matcher workers (DESIGN.md §7, §12). A wave of requests is matched
+  /// Matcher workers (DESIGN.md §7, §12), which also walk idle vehicles
+  /// during each advance. A wave of requests is matched
   /// against the registry as the round found it, one (request, matcher
   /// slot) pair per unit of work spread over this many workers, then
   /// committed serially in request-id order. Committed assignments,
@@ -313,7 +314,11 @@ class Engine {
 
   // --- Simulation. ---
 
-  /// Advances the world to absolute time `time` (seconds).
+  /// Advances the world to absolute time `time` (seconds), vehicle by
+  /// vehicle (DESIGN.md §12). Vehicles idle at the call's start walk on
+  /// the pool; the calling thread drives the busy ones and then moves each
+  /// empty vehicle's registry cell in id order, so the fleet and registry
+  /// are identical at every engine_threads value.
   void AdvanceTo(double time);
 
   struct RequestOutcome {
@@ -364,7 +369,8 @@ class Engine {
   ///
   /// Determinism: committed assignments depend on wave_size but not on
   /// engine_threads — nothing writes while workers match, arbitration is
-  /// id-ordered, and rng/ladder draws happen serially in id order — except
+  /// id-ordered, rng/ladder draws happen serially in id order, and idle
+  /// walks draw from per-vehicle streams (AdvanceTo) — except
   /// when a wall-clock deadline (overload.deadline_ms > 0) is configured,
   /// which is nondeterministic by design. `commit_log`, when non-null,
   /// receives one record per request, sorted by request id.
@@ -379,9 +385,11 @@ class Engine {
   int ResolvedWaveSize() const;
 
  private:
-  /// Where a vehicle is between vertices. A vehicle on an edge drives
-  /// route[pos] -> route[pos + 1]; one standing at route[pos] has taken no
-  /// edge yet (edge_len is kNoEdge and edge_progress 0).
+  /// Where a vehicle is between vertices, and its idle-walk stream. A
+  /// vehicle on an edge drives route[pos] -> route[pos + 1]; one standing
+  /// at route[pos] has taken no edge yet (edge_len is kNoEdge and
+  /// edge_progress 0). Only the vehicle's own advance touches it, so
+  /// idle vehicles advance concurrently.
   struct VehicleRuntime {
     static constexpr Distance kNoEdge =
         std::numeric_limits<Distance>::quiet_NaN();
@@ -394,12 +402,9 @@ class Engine {
     Distance edge_len = kNoEdge;
     double edge_progress = 0.0;  ///< Meters advanced into the edge.
     double budget = 0.0;         ///< Unspent movement distance.
-
-    /// Spends the whole budget inside the edge and returns true when it
-    /// falls short of the edge's end. Returns false and changes nothing
-    /// when it reaches the end or no edge is taken (a NaN length fails the
-    /// compare).
-    bool SettleMidEdge();
+    /// Draws each idle walk's next edge; seeded from (EngineOptions::seed,
+    /// vehicle id), so a walk does not depend on any other vehicle.
+    SplitMix64 walk{0};
   };
 
   /// Everything one (worker, matcher slot) pair owns.
@@ -442,11 +447,20 @@ class Engine {
   /// repairs on findings and bumps the audit/* counters.
   void AuditAfterCommit(VehicleId v);
   Distance ArcWeight(VertexId u, VertexId v) const;
-  /// Finishes vehicle v's tick once AdvanceTo has found that its budget
-  /// reaches the end of its edge or that it has taken no edge: crosses
-  /// vertices (serving stops and replanning, or drawing an idle walk's next
-  /// edge from rng_) and takes each next edge, reading its length once,
-  /// until the budget ends mid-edge or the vehicle cannot move.
+  /// The matcher and advance worker pool: null with one engine thread,
+  /// else created on first use with engine_threads workers.
+  ThreadPool* Pool();
+  /// Runs vehicle v through every tick budget of one AdvanceTo call. A
+  /// tick that ends mid-edge is one compare and one add; the rest go to
+  /// TickVehicle.
+  void AdvanceVehicle(VehicleId v, std::span<const double> ticks);
+  /// Finishes vehicle v's tick once its budget reaches the end of its
+  /// edge or it has taken no edge: crosses vertices (serving stops and
+  /// replanning, or drawing an idle walk's next edge from its own stream)
+  /// and takes each next edge, reading its length once, until the budget
+  /// ends mid-edge or the vehicle cannot move. An empty vehicle's crossing
+  /// touches only its tree and runtime; AdvanceTo moves its registry cell
+  /// after the call's walks.
   void TickVehicle(VehicleId v);
   /// Serves co-located stops, fixes the vehicle's registry membership, and
   /// replans its driving route. Called after any change to a non-empty
@@ -469,6 +483,8 @@ class Engine {
   const RoadNetwork* graph_;
   const GridIndex* grid_;
   EngineOptions options_;
+  /// Initial placement and the random rider policy. Idle walks draw from
+  /// each vehicle's VehicleRuntime::walk instead.
   Rng rng_;
   double now_ = 0.0;
 
@@ -492,8 +508,8 @@ class Engine {
   /// GeoPrune prefilter, built once at construction when options_.prune is
   /// kEllipse and installed on every MatchContext (null otherwise).
   std::unique_ptr<prune::EllipsePrefilter> prune_filter_;
-  /// Matcher workers; created lazily on the first wave when
-  /// options.engine_threads > 1.
+  /// Matcher and idle-walk workers; created by Pool() on the first wave or
+  /// advance when options.engine_threads > 1.
   std::unique_ptr<ThreadPool> pool_;
   /// Per-(worker, slot) matching state, created on the first call and kept
   /// across calls, so each oracle labels components and allocates its

@@ -13,7 +13,9 @@
 //
 // Phase rule: nothing writes the registry or the fleet while a round
 // matches. Workers read both in place, without a lock; every write (commit,
-// advance, refresh) runs on the calling thread between rounds. Slot 0's
+// advance, refresh) runs between rounds, and only the calling thread writes
+// the registry (advance walks idle vehicles on the pool, each chunk writing
+// only its own vehicles). Slot 0's
 // worker exports its rows' values at every vertex a commit of one of its
 // options can read (the options' vehicles' locations and stops, and d);
 // they ride on the request to its commit, which reads them on the
@@ -27,8 +29,9 @@
 // RunStats, and the lifecycle log are identical at every engine_threads
 // value. Matcher workers read only the world as the round found it and
 // their own per-(worker, slot) oracle/budget/matcher, the arbiter is
-// id-ordered, and all rng and overload-ladder draws happen serially in id
-// order on the calling thread. The only documented exception is a
+// id-ordered, the rider policy's rng and overload-ladder draws happen
+// serially in id order on the calling thread, and each idle walk draws from
+// its vehicle's own stream. The only documented exception is a
 // configured wall-clock deadline (overload.deadline_ms), which is
 // nondeterministic by design.
 // `--serial_check` re-runs the workload at engine_threads=1 and compares
@@ -147,15 +150,7 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
   const std::size_t workers = matchers.size();
   const std::size_t num_slots = matchers[0].size();
   const std::size_t wave_size = static_cast<std::size_t>(ResolvedWaveSize());
-  if (workers > 1 && pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(static_cast<int>(workers));
-    // Queue-wait intervals land on the worker's own trace track; the
-    // recorder drops them (one branch) when tracing is off.
-    pool_->SetTaskWaitObserver([](double wait_micros) {
-      obs::TraceRecorder::Global().RecordEndingNow("pool_queue_wait",
-                                                   wait_micros);
-    });
-  }
+  ThreadPool* pool = Pool();
 
   // Per-(worker, slot) state, kept across calls. This call's matchers and
   // fault hooks are installed afresh: oracle (w, s) takes hook slot s, or
@@ -224,14 +219,14 @@ RunStats Engine::RunWaves(std::span<const Request> requests,
   // coarse tasks keep queue traffic negligible.
   const auto parallel_match = [&](std::size_t count, auto&& fn) {
     const std::size_t active = std::min(count, workers);
-    if (pool_ == nullptr || active <= 1) {
+    if (pool == nullptr || active <= 1) {
       for (std::size_t w = 0; w < active; ++w) fn(w);
       return;
     }
     std::vector<std::future<void>> pending;
     pending.reserve(active);
     for (std::size_t w = 0; w < active; ++w) {
-      pending.push_back(pool_->Submit([&fn, w] { fn(w); }));
+      pending.push_back(pool->Submit([&fn, w] { fn(w); }));
     }
     for (std::future<void>& f : pending) f.get();
   };

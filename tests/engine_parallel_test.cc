@@ -15,10 +15,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -129,6 +132,105 @@ TEST(EngineParallelTest, MatcherAggregatesIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.totals.pruned_cells, b.totals.pruned_cells);
   EXPECT_EQ(a.totals.pruned_vehicles, b.totals.pruned_vehicles);
   EXPECT_GT(a.totals.compdists, 0u);
+}
+
+// --- Advance: idle walks on the pool, busy vehicles on the caller. ---
+
+/// Everything an advance can write, as bits: each vehicle's location and
+/// odometer, the clock, the registry's write count, and every active
+/// cell's empty-vehicle list and kinetic-edge entries in list order.
+struct WorldBits {
+  std::vector<std::uint64_t> fleet;
+  std::uint64_t epoch = 0;
+  std::vector<std::uint64_t> registry;
+
+  friend bool operator==(const WorldBits&, const WorldBits&) = default;
+};
+
+WorldBits BitsOf(Engine& engine) {
+  WorldBits bits;
+  for (const KineticTree& tree : engine.fleet()) {
+    bits.fleet.push_back(tree.location());
+    bits.fleet.push_back(std::bit_cast<std::uint64_t>(tree.odometer()));
+  }
+  bits.fleet.push_back(std::bit_cast<std::uint64_t>(engine.now()));
+  const VehicleRegistry& registry = engine.registry();
+  bits.epoch = registry.epoch();
+  for (const CellId cell : engine.grid().active_cells()) {
+    bits.registry.push_back(cell);
+    const std::span<const VehicleId> empty = registry.EmptyVehicles(cell);
+    bits.registry.push_back(empty.size());
+    bits.registry.insert(bits.registry.end(), empty.begin(), empty.end());
+    for (const KineticEdgeEntry& e : registry.NonEmptyEntries(cell)) {
+      bits.registry.insert(
+          bits.registry.end(),
+          {e.vehicle, static_cast<std::uint64_t>(e.capacity),
+           std::bit_cast<std::uint64_t>(e.detour),
+           std::bit_cast<std::uint64_t>(e.dist_tr),
+           std::bit_cast<std::uint64_t>(e.leg_dist), e.tail ? 1u : 0u, e.ox,
+           e.oy});
+    }
+  }
+  return bits;
+}
+
+TEST(EngineParallelTest, AdvanceIsIdenticalAtEveryThreadCount) {
+  // 2,000 vehicles, most of them idle walkers split into one chunk per
+  // worker, while committed vehicles drive to their stops, serve them and
+  // empty on the calling thread. Waves of 8 run after an advance to just
+  // before their last submit time, so advances end at fractional times.
+  const GridWorld world = MakeGridWorld({.rows = 20, .cols = 20});
+  const std::vector<Request> requests = MakeRequestStream(
+      *world.graph, {.num_requests = 120, .duration_seconds = 600.0,
+                     .seed = 5});
+  const std::span<const Request> all(requests);
+  const auto run = [&](int threads, std::vector<CommitRecord>* log) {
+    EngineOptions eopts;
+    eopts.num_vehicles = 2000;
+    eopts.seed = 11;
+    eopts.engine_threads = threads;
+    eopts.wave_size = 8;
+    eopts.audit_after_commit = false;
+    Engine engine(world.graph.get(), world.grid.get(), eopts);
+    std::uint64_t served = 0;
+    for (std::size_t first = 0; first < all.size(); first += 8) {
+      const std::span<const Request> wave = all.subspan(first, 8);
+      engine.AdvanceTo(wave.back().submit_time - 0.37);
+      std::vector<CommitRecord> wave_log;
+      served += engine
+                    .RunPipelined(wave,
+                                  [] {
+                                    return std::make_unique<SsaMatcher>(0.16);
+                                  },
+                                  &wave_log)
+                    .served;
+      log->insert(log->end(), wave_log.begin(), wave_log.end());
+    }
+    engine.AdvanceTo(engine.now() + 90.25);
+    // Trips ended during advances, and some are still under way.
+    std::size_t busy = 0;
+    std::size_t aboard = 0;
+    for (const KineticTree& tree : engine.fleet()) {
+      busy += tree.IsEmpty() ? 0 : 1;
+      aboard += tree.assigned().size();
+    }
+    EXPECT_GT(served, 60u);
+    EXPECT_LT(aboard, served);
+    EXPECT_GT(busy, 0u);
+    return BitsOf(engine);
+  };
+  std::vector<CommitRecord> serial_log;
+  const WorldBits serial = run(1, &serial_log);
+  ASSERT_EQ(serial_log.size(), requests.size());
+  for (const int threads : {2, 4, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    std::vector<CommitRecord> log;
+    const WorldBits parallel = run(threads, &log);
+    EXPECT_EQ(log, serial_log);
+    EXPECT_EQ(parallel.fleet, serial.fleet);
+    EXPECT_EQ(parallel.epoch, serial.epoch);
+    EXPECT_EQ(parallel.registry, serial.registry);
+  }
 }
 
 // --- GeoPrune and tree-cap observability on pipelined runs. ---

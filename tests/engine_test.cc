@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <string>
 
 #include "rideshare/baseline_matcher.h"
 #include "rideshare/dsa_matcher.h"
@@ -73,40 +74,47 @@ TEST(EngineTest, IdleVehiclesWanderButStayRegistered) {
 
 TEST(EngineTest, MovementIsPinnedBitForBit) {
   // Every vehicle's location and odometer bits after a short stream, plus
-  // the clock, hashed and compared with a value recorded when each tick
-  // still looked its edge up in the graph. The stream has idle walkers,
-  // commits landing mid-edge, stop arrivals, and advances to fractional
-  // times, so any change to where a tick leaves a vehicle moves the hash.
+  // the clock, hashed and compared with one value at one and four engine
+  // threads. The value was recorded when idle walks moved to one SplitMix64
+  // stream per vehicle, from those streams in the former tick-major
+  // advance. The stream has idle walkers, commits landing mid-edge, stop
+  // arrivals, and advances to fractional times, so any change to where a
+  // tick leaves a vehicle moves the hash.
   GridWorld w = MakeWorld();
   const std::vector<Request> requests = MakeRequests(*w.graph, 30);
-  EngineOptions opts;
-  opts.num_vehicles = 12;
-  Engine engine(w.graph.get(), w.grid.get(), opts);
-  const std::span<const Request> all(requests);
-  std::uint64_t served = 0;
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    engine.AdvanceTo(all[i].submit_time - 0.37);
-    served +=
-        engine.RunPipelined(all.subspan(i, 1), FactoryOf<BaselineMatcher>())
-            .served;
-  }
-  engine.AdvanceTo(engine.now() + 30.25);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    EngineOptions opts;
+    opts.num_vehicles = 12;
+    opts.engine_threads = threads;
+    opts.wave_size = 1;
+    Engine engine(w.graph.get(), w.grid.get(), opts);
+    const std::span<const Request> all(requests);
+    std::uint64_t served = 0;
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      engine.AdvanceTo(all[i].submit_time - 0.37);
+      served +=
+          engine.RunPipelined(all.subspan(i, 1), FactoryOf<BaselineMatcher>())
+              .served;
+    }
+    engine.AdvanceTo(engine.now() + 30.25);
 
-  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
-  const auto mix = [&hash](std::uint64_t word) {
-    hash = (hash ^ word) * 0x100000001b3ull;
-  };
-  std::size_t busy = 0;
-  for (const KineticTree& tree : engine.fleet()) {
-    mix(tree.location());
-    mix(std::bit_cast<std::uint64_t>(tree.odometer()));
-    busy += tree.IsEmpty() ? 0 : 1;
+    std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
+    const auto mix = [&hash](std::uint64_t word) {
+      hash = (hash ^ word) * 0x100000001b3ull;
+    };
+    std::size_t busy = 0;
+    for (const KineticTree& tree : engine.fleet()) {
+      mix(tree.location());
+      mix(std::bit_cast<std::uint64_t>(tree.odometer()));
+      busy += tree.IsEmpty() ? 0 : 1;
+    }
+    mix(std::bit_cast<std::uint64_t>(engine.now()));
+    EXPECT_GT(served, 20u);
+    EXPECT_GT(busy, 0u);
+    EXPECT_LT(busy, engine.fleet().size());
+    EXPECT_EQ(hash, 0xa0fa1f8502637d76ull);
   }
-  mix(std::bit_cast<std::uint64_t>(engine.now()));
-  EXPECT_GT(served, 20u);
-  EXPECT_GT(busy, 0u);
-  EXPECT_LT(busy, engine.fleet().size());
-  EXPECT_EQ(hash, 0xa319059d0220d6dfull);
 }
 
 TEST(EngineTest, ServesRequestsEndToEnd) {

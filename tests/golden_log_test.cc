@@ -1,7 +1,7 @@
 // Golden commit logs: the wave pipeline at its one-worker default wave size
 // (one request per wave, the paper's online setting) must reproduce the
-// commit logs recorded from the one-request-at-a-time engine it replaced
-// (tests/corpus/*.commits, scenarios in golden_scenarios.h). Covered: both
+// recorded commit logs (tests/corpus/*.commits, whose headers say what each
+// was recorded from; scenarios in golden_scenarios.h). Covered: both
 // distance backends, the GeoPrune prefilter, a 64-branch tree cap, a
 // budget-driven ladder walk through the fallback matchers to shed, the
 // random rider policy, and a BA + SSA/DSA shadow run whose per-slot
@@ -179,17 +179,22 @@ TEST(GoldenLogTest, ShadowPruningAttributionIsPinned) {
     PruneMode prune;
     std::array<Counts, 3> slots;  // BA, SSA, DSA
   };
+  // Recorded when idle walks moved to one SplitMix64 stream per vehicle,
+  // from those streams in the former tick-major advance; the vehicle-major
+  // advance gives the same counts.
   const Pin pins[] = {
       {PruneMode::kNone,
-       {{{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 960, 1580},
-         {4, 22, 100, 0, 134, 0, 117, 0, 40, 0, 99, 0, 0, 36, 22, 224, 498},
-         {4, 19, 50, 0, 72, 0, 62, 0, 22, 0, 49, 0, 0, 61, 19, 169, 340}}}},
+       {{{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 960, 1706},
+         {5, 13, 267, 0, 1163, 0, 3494, 0, 184, 0, 528, 0, 0, 40, 13, 235,
+          622},
+         {5, 13, 155, 0, 884, 0, 1133, 0, 94, 0, 452, 0, 0, 69, 13, 181,
+          444}}}},
       {PruneMode::kEllipse,
-       {{{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2325, 1515, 545, 0, 415, 781},
-         {4, 22, 99, 0, 133, 0, 116, 0, 39, 0, 84, 730, 84, 71, 22, 192,
-          463},
-         {4, 19, 50, 0, 72, 0, 62, 0, 22, 0, 41, 604, 71, 99, 19, 139,
-          312}}}},
+       {{{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 11701, 7233, 543, 0, 417, 945},
+         {5, 13, 265, 0, 1162, 0, 3483, 0, 179, 0, 459, 4050, 299, 81, 13,
+          201, 585},
+         {5, 13, 154, 0, 884, 0, 1133, 0, 94, 0, 394, 2422, 244, 113, 13,
+          148, 411}}}},
   };
   const GridWorld world = MakeGridWorld();
   const std::vector<GoldenScenario> scenarios = GoldenScenarios();

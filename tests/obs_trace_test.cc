@@ -303,12 +303,13 @@ TEST(TraceRecorderTest, WritesValidWellNestedChromeTrace) {
         {o.at("ts").number(), o.at("dur").number(), o.at("name").string()});
   }
 
-  // (d) the phase taxonomy is present: the wave phases, one match span per
-  // (request, slot) unit, plus matcher-level spans.
+  // (d) the phase taxonomy is present: the wave phases, the advance's idle
+  // chunks and busy vehicles, one match span per (request, slot) unit, plus
+  // matcher-level spans.
   for (const char* phase :
-       {"pipeline_wave", "pipeline_advance", "pipeline_refresh",
-        "pipeline_match_round", "pipeline_match", "pipeline_commit",
-        "commit_enumerate", "commit_register"}) {
+       {"pipeline_wave", "pipeline_advance", "advance_idle", "advance_busy",
+        "pipeline_refresh", "pipeline_match_round", "pipeline_match",
+        "pipeline_commit", "commit_enumerate", "commit_register"}) {
     EXPECT_TRUE(names.contains(phase)) << phase;
   }
   EXPECT_TRUE(names.contains("verify") || names.contains("expand_cell"));

@@ -15,16 +15,11 @@
 namespace ptar::testing {
 
 /// Derives an independent RNG stream from a base seed and a stream tag
-/// (SplitMix64 finalizer). The affine forms previously used for this
+/// (common/random.h). The affine forms previously used for this
 /// (`seed * 3 + 1`, `seed * 7 + 3`, ...) collide across parameterized
 /// cases — e.g. workload seed 7*1+3 = city seed 3*3+1 — silently reusing
 /// one random stream for two supposedly independent inputs.
-inline std::uint64_t DeriveSeed(std::uint64_t base, std::uint64_t stream) {
-  std::uint64_t z = base + 0x9e3779b97f4a7c15ULL * (stream + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+using ::ptar::DeriveSeed;
 
 /// 3x3 grid graph with unit coordinates spaced `spacing` apart and edge
 /// weights equal to `spacing`:
